@@ -11,8 +11,7 @@ Stieltjes transform of the trailing spectrum evaluated at lambda_j:
     adjusted_j = -1 / mu_j(lambda_j)
 
 The divisor is p-j even though the bracket has p-j+1 summands; that is the
-operative definition and is kept verbatim (an inclusive-divisor variant is
-available for sensitivity checks only).
+operative definition and is kept verbatim.
 
 The count is then max{j <= r_max : adjusted_j > 1 + sqrt(p/(n-1))}, with
 the empty set giving 0.
@@ -153,24 +152,12 @@ def companion_stieltjes(j: int, spec: Spectrum, n: int, z: float) -> float:
     return -(1.0 - rho) / z + rho * partial_stieltjes(j, spec, z)
 
 
-def adjust_eigenvalues(
-    spec: Spectrum,
-    n: int,
-    r_max: int | None = None,
-    on_ties: str = "jitter",
-    divisor: str = "verbatim",
-) -> AdjustedSpectrum:
+def adjust_eigenvalues(spec: Spectrum, n: int, r_max: int | None = None) -> AdjustedSpectrum:
     """Correct the top r_max eigenvalues: adjusted_j = -1/mu_j(lambda_j).
 
     Exact ties among the leading eigenvalues are broken by lowering the
-    lower member by TIE_JITTER * lambda_j (flagged in the result), or
-    rejected with on_ties="error". divisor="inclusive" switches to the
-    p-j+1 normalization; it exists for sensitivity checks only.
+    lower member by TIE_JITTER * lambda_j (flagged in the result).
     """
-    if on_ties not in ("jitter", "error"):
-        raise ConfigError(f"on_ties must be 'jitter' or 'error', got {on_ties!r}")
-    if divisor not in ("verbatim", "inclusive"):
-        raise ConfigError(f"divisor must be 'verbatim' or 'inclusive', got {divisor!r}")
     p = spec.p
     if r_max is None:
         r_max = default_r_max(p, n)
@@ -183,8 +170,6 @@ def adjust_eigenvalues(
     jittered = False
     for j in range(r_max):
         if work[j + 1] >= work[j]:
-            if on_ties == "error":
-                raise DegenerateGap(f"eigenvalues {j + 1} and {j + 2} are tied")
             if work[j] <= 0.0:
                 raise DegenerateGap(f"cannot jitter a tie at eigenvalue {work[j]:g}")
             work[j + 1] = min(work[j + 1], work[j]) - TIE_JITTER * work[j]
@@ -196,11 +181,7 @@ def adjust_eigenvalues(
         z = float(work[j - 1])
         if z == 0.0:
             raise PoleAtZ(f"eigenvalue {j} is zero; the spectrum is too degenerate to adjust")
-        denom = (p - j) if divisor == "verbatim" else (p - j + 1)
-        m_partial = _resolvent_sum(j, work_spec, z) / denom
-        rho = (p - j) / (n - 1)
-        m = -(1.0 - rho) / z + rho * m_partial
-        adjusted[j - 1] = -1.0 / m
+        adjusted[j - 1] = -1.0 / companion_stieltjes(j, work_spec, n, z)
     return AdjustedSpectrum(
         adjusted, act_threshold(p, n), p=p, n=n, r_max=r_max, jittered=jittered
     )

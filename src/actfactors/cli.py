@@ -15,10 +15,11 @@ from .act import act_estimate, act_threshold, adjust_eigenvalues, default_r_max
 from .analysis import ols_r2, pc_scores, projection_distance, variance_explained
 from .errors import ActFactorsError, ConfigError, DataError
 from .harness import (
+    METHODS,
     ExperimentConfig,
     VALID_METHODS,
-    _evaluate_method,
-    CellPlan,
+    canonical_methods,
+    check_method_options,
     render_table1_text,
     render_text_table,
     run_experiment,
@@ -42,42 +43,25 @@ def estimate_report(
     basis: str | None = None,
 ) -> dict:
     """Per-method factor counts for one panel, with the spectra and the
-    adjusted eigenvalues behind them. Method errors are recorded per method
-    and do not abort the run."""
+    adjusted eigenvalues behind them. Options out of range for a requested
+    method raise ConfigError before any estimate; method errors on the data
+    are recorded per method and do not abort the run."""
     X = ds.data
     n, p = X.n, X.p
+    methods = canonical_methods(methods, ed_threshold)
+    if basis not in (None, "cov", "corr"):
+        raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
     r_max = r_max or default_r_max(p, n)
-    if any(str(m).upper() == "ED" for m in methods) and ed_threshold is None:
-        raise ConfigError("method ED requires an explicit --ed-threshold")
+    check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     cov = sample_covariance(X)
     cov_spec = eigenvalues_desc(cov, n)
     corr_spec = eigenvalues_desc(to_correlation(cov), n)
-    plan = CellPlan(
-        case_id=0,
-        family="data",
-        p=p,
-        n=n,
-        k_true=-1,
-        cell_seed=0,
-        replications=0,
-        methods=tuple(m.upper() for m in methods),
-        r_max=r_max,
-        ed_threshold=ed_threshold,
-        on_r_min=on_r_min,
-        fresh_loadings=False,
-    )
+    spectra = {"cov": cov_spec, "corr": corr_spec}
     results = {}
-    for m in plan.methods:
-        if m not in VALID_METHODS:
-            raise ConfigError(f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")
-        if basis == "corr":
-            spectra = (corr_spec, corr_spec)
-        elif basis == "cov":
-            spectra = (cov_spec, cov_spec)
-        else:
-            spectra = (cov_spec, corr_spec)
+    for m in methods:
+        default_basis, estimate = METHODS[m]
         try:
-            results[m] = {"k": _evaluate_method(m, spectra[0], spectra[1], plan)}
+            results[m] = {"k": estimate(spectra[basis or default_basis], n, r_max, ed_threshold, on_r_min)}
         except ActFactorsError as exc:
             results[m] = {"error": f"{type(exc).__name__}: {exc}"}
     adjusted_info = {}
@@ -95,7 +79,7 @@ def estimate_report(
         "p": p,
         "series": list(ds.names),
         "config": {
-            "methods": list(plan.methods),
+            "methods": list(methods),
             "r_max": r_max,
             "ed_threshold": ed_threshold,
             "on_r_min": on_r_min,

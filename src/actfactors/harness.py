@@ -31,7 +31,10 @@ from .spectral import (
 )
 
 __all__ = [
+    "METHODS",
     "VALID_METHODS",
+    "canonical_methods",
+    "check_method_options",
     "ExperimentConfig",
     "CellPlan",
     "CellResult",
@@ -46,22 +49,62 @@ __all__ = [
 
 REPORT_SCHEMA = "actfactors/replication-report/v1"
 
-_BAI_NG = {"PC1", "PC2", "PC3", "IC1", "IC2", "IC3"}
-#: ON2 is an alias for ON: the gap-ratio argmax with r_min=0 and the shared
+#: method name -> (default spectrum, estimator call). Every call takes
+#: (spectrum, n, r_max, ed_threshold, on_r_min) and returns the count.
+#: ON2 is an alias for ON: the gap-ratio argmax with the shared r_min and
 #: r_max; the alias exists for table layouts and is noted in report metadata.
-VALID_METHODS = ("ACT", "ER", "GR", "ED", "ON", "ON2", "KAISER") + tuple(sorted(_BAI_NG))
+METHODS = {
+    "ACT": ("corr", lambda s, n, r_max, ed, r_min: act_estimate(s, n, r_max)),
+    "ER": ("cov", lambda s, n, r_max, ed, r_min: er_estimate(s, r_max)),
+    "GR": ("cov", lambda s, n, r_max, ed, r_min: gr_estimate(s, r_max)),
+    "ED": ("cov", lambda s, n, r_max, ed, r_min: ed_estimate(s, ed, r_max)),
+    "ON": ("cov", lambda s, n, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
+    "ON2": ("cov", lambda s, n, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
+    "KAISER": ("corr", lambda s, n, r_max, ed, r_min: naive_kaiser_estimate(s)),
+    **{
+        name: (
+            "cov",
+            lambda s, n, r_max, ed, r_min, v=BaiNgVariant.parse(name): bai_ng_estimate(s, n, s.p, v, r_max),
+        )
+        for name in ("IC1", "IC2", "IC3", "PC1", "PC2", "PC3")
+    },
+}
+VALID_METHODS = tuple(METHODS)
 
 
-def _canonical_methods(methods) -> tuple[str, ...]:
+def canonical_methods(methods, ed_threshold: float | None) -> tuple[str, ...]:
+    """Upper-cased, stripped method names, each known and listed once; ED
+    needs an explicit gap threshold."""
     out = []
     for m in methods:
         name = str(m).strip().upper()
-        if name not in VALID_METHODS:
+        if name not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")
+        if name in out:
+            raise ConfigError(f"method {name} is listed more than once")
         out.append(name)
     if not out:
         raise ConfigError("method list must not be empty")
+    if "ED" in out and ed_threshold is None:
+        raise ConfigError("method ED requires an explicit ed_threshold (--ed-threshold)")
     return tuple(out)
+
+
+def check_method_options(
+    methods: tuple[str, ...], p: int, n: int, r_max: int, ed_threshold: float | None, on_r_min: int
+) -> None:
+    """Raise ConfigError if an option is out of range for a method at (p, n).
+
+    Each method runs once on a strictly decreasing positive spectrum, on
+    which no estimator meets a data error, so the bounds checked are exactly
+    the ones the estimators enforce.
+    """
+    probe = Spectrum(np.linspace(2.0, 1.0, p), p=p, n=n)
+    for m in methods:
+        try:
+            METHODS[m][1](probe, n, r_max, ed_threshold, on_r_min)
+        except ConfigError as exc:
+            raise ConfigError(f"method {m} at p={p}, n={n}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -87,7 +130,7 @@ class ExperimentConfig:
         object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "methods", _canonical_methods(self.methods))
+        object.__setattr__(self, "methods", canonical_methods(self.methods, self.ed_threshold))
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if self.workers < 1:
@@ -106,8 +149,9 @@ class ExperimentConfig:
         for p in self.p_values:
             if p < self.k_true + 2:
                 raise ConfigError(f"need p >= K+2, got p={p}, K={self.k_true}")
-        if "ED" in self.methods and self.ed_threshold is None:
-            raise ConfigError("method ED requires an explicit ed_threshold")
+            for n in self.n_values:
+                r_max = self.r_max or default_r_max(p, n)
+                check_method_options(self.methods, p, n, r_max, self.ed_threshold, self.on_r_min)
 
 
 @dataclass(frozen=True)
@@ -144,31 +188,9 @@ class CellResult:
     tallies: dict  # method -> MethodTally
 
 
-def _evaluate_method(
-    method: str,
-    cov_spec: Spectrum,
-    corr_spec: Spectrum,
-    plan: CellPlan,
-) -> int:
-    if method == "ACT":
-        return act_estimate(corr_spec, plan.n, plan.r_max)
-    if method == "KAISER":
-        return naive_kaiser_estimate(corr_spec)
-    if method == "ER":
-        return er_estimate(cov_spec, plan.r_max)
-    if method == "GR":
-        return gr_estimate(cov_spec, plan.r_max)
-    if method == "ED":
-        return ed_estimate(cov_spec, plan.ed_threshold, plan.r_max)
-    if method in ("ON", "ON2"):
-        return on_estimate(cov_spec, plan.on_r_min, plan.r_max)
-    if method in _BAI_NG:
-        return bai_ng_estimate(cov_spec, plan.n, plan.p, BaiNgVariant.parse(method), plan.r_max)
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _run_replications(plan: CellPlan, rep_indices: range) -> dict:
     tallies = {m: MethodTally() for m in plan.methods}
+    estimators = [(tallies[m], *METHODS[m]) for m in plan.methods]
     fixed_spec = None
     if not plan.fresh_loadings:
         # loadings drawn once per cell from the reserved stream one past the last rep
@@ -183,10 +205,10 @@ def _run_replications(plan: CellPlan, rep_indices: range) -> dict:
         cov = sample_covariance(X)
         cov_spec = eigenvalues_desc(cov, plan.n)
         corr_spec = eigenvalues_desc(to_correlation(cov), plan.n)
-        for m in plan.methods:
-            tally = tallies[m]
+        for tally, basis, estimate in estimators:
+            m_spec = cov_spec if basis == "cov" else corr_spec
             try:
-                khat = _evaluate_method(m, cov_spec, corr_spec, plan)
+                khat = estimate(m_spec, plan.n, plan.r_max, plan.ed_threshold, plan.on_r_min)
             except ActFactorsError as exc:
                 tally.failed_count += 1
                 msg = f"{type(exc).__name__}: {exc}"

@@ -113,17 +113,6 @@ class TestAdjustEigenvalues:
         assert np.all(adj.adjusted > 0.0)
         assert np.all(adj.adjusted <= spec.eigenvalues[:2] + 1e-12)
 
-    def test_tie_error_mode(self):
-        spec = spectrum([3.0, 1.0, 1.0, 0.6, 0.4])
-        with pytest.raises(DegenerateGap):
-            adjust_eigenvalues(spec, n=10, r_max=2, on_ties="error")
-
-    def test_inclusive_divisor_differs(self):
-        spec = spectrum([4.0, 1.0, 0.5, 0.4, 0.3])
-        verbatim = adjust_eigenvalues(spec, n=9, r_max=2)
-        inclusive = adjust_eigenvalues(spec, n=9, r_max=2, divisor="inclusive")
-        assert not np.allclose(verbatim.adjusted, inclusive.adjusted)
-
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_shrinkage_property(self, seed):

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from actfactors.act import act_estimate, default_r_max
+from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import analyze_report, estimate_report, main
+from actfactors.errors import ConfigError
+from actfactors.harness import VALID_METHODS
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, ingest_csv
-from actfactors.spectral import DataMatrix
+from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
 
 
 def write_panel_csv(path, values, names=None):
@@ -50,6 +54,8 @@ class TestEstimateCommand:
         forced = estimate_report(ds, methods=("ER",), basis="corr")
         assert per_method["methods"]["ER"]["k"] >= 0
         assert forced["config"]["basis"] == "corr"
+        with pytest.raises(ConfigError):
+            estimate_report(ds, methods=("ER",), basis="both")
 
     def test_cli_json_output(self, factor_panel_csv, capsys):
         rc = main(["estimate", factor_panel_csv, "--methods", "ACT", "ER"])
@@ -75,12 +81,84 @@ class TestEstimateCommand:
         assert a["methods"]["KAISER"] == b["methods"]["KAISER"]
 
 
+ED_THRESHOLD = 0.5
+
+#: direct calls of the public estimators: (cov spectrum, corr spectrum, n, p, r_max) -> count
+ORACLES = {
+    "ACT": lambda cov, corr, n, p, r: act_estimate(corr, n, r),
+    "KAISER": lambda cov, corr, n, p, r: naive_kaiser_estimate(corr),
+    "ER": lambda cov, corr, n, p, r: er_estimate(cov, r),
+    "GR": lambda cov, corr, n, p, r: gr_estimate(cov, r),
+    "ED": lambda cov, corr, n, p, r: ed_estimate(cov, ED_THRESHOLD, r),
+    "ON": lambda cov, corr, n, p, r: on_estimate(cov, 0, r),
+    "ON2": lambda cov, corr, n, p, r: on_estimate(cov, 0, r),
+    **{
+        m: lambda cov, corr, n, p, r, m=m: bai_ng_estimate(cov, n, p, BaiNgVariant.parse(m), r)
+        for m in ("PC1", "PC2", "PC3", "IC1", "IC2", "IC3")
+    },
+}
+
+
+class TestMethodTable:
+    def test_oracles_cover_every_method(self):
+        assert set(ORACLES) == set(VALID_METHODS)
+
+    @pytest.mark.parametrize("method", sorted(ORACLES))
+    def test_report_matches_direct_estimator(self, factor_panel_csv, method):
+        ds = ingest_csv(factor_panel_csv)
+        X = ds.data
+        cov = sample_covariance(X)
+        cov_spec = eigenvalues_desc(cov, X.n)
+        corr_spec = eigenvalues_desc(to_correlation(cov), X.n)
+        expected = ORACLES[method](cov_spec, corr_spec, X.n, X.p, default_r_max(X.p, X.n))
+        report = estimate_report(ds, methods=(method,), ed_threshold=ED_THRESHOLD)
+        assert report["methods"][method]["k"] == expected
+
+    def test_duplicate_method_rejected(self, factor_panel_csv):
+        ds = ingest_csv(factor_panel_csv)
+        with pytest.raises(ConfigError):
+            estimate_report(ds, methods=("ACT", "act"))
+
+    def test_method_names_are_stripped(self, factor_panel_csv):
+        report = estimate_report(ingest_csv(factor_panel_csv), methods=(" act", "er "))
+        assert list(report["methods"]) == ["ACT", "ER"]
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, factor_panel_csv):
         assert main(["estimate", factor_panel_csv, "--methods", "NOPE"]) == 2
 
     def test_ed_without_threshold_is_2(self, factor_panel_csv):
         assert main(["estimate", factor_panel_csv, "--methods", "ED"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--methods", "ACT", "act"],
+            ["--r-max", "40"],
+            ["--methods", "ER", "--r-max", "20"],
+            ["--methods", "PC1", "--r-max", "120"],
+            ["--methods", "ON", "--on-r-min", "10"],
+            ["--methods", "ED", "--ed-threshold", "0"],
+        ],
+    )
+    def test_estimate_option_out_of_range_is_2(self, factor_panel_csv, args, capsys):
+        assert main(["estimate", factor_panel_csv, *args]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--methods", "ACT", "act"],
+            ["--r-max", "40"],
+            ["--on-r-min", "20"],
+            ["--methods", "ED", "--ed-threshold", "-1"],
+        ],
+    )
+    def test_simulate_option_out_of_range_is_2(self, args, capsys):
+        base = ["simulate", "--case", "1", "--p", "30", "--n", "60", "--k", "3", "--reps", "2"]
+        assert main([*base, *args]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_data_error_is_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -39,6 +39,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(methods=("ACT", "BOGUS"))
 
+    def test_duplicate_method(self):
+        with pytest.raises(ConfigError):
+            small_config(methods=("ACT", "act"))
+        assert small_config(methods=(" act", "ER")).methods == ("ACT", "ER")
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(methods=("ACT",), r_max=29),
+            dict(methods=("GR",), r_max=29),
+            dict(methods=("ER",), r_max=30),
+            dict(methods=("PC3",), r_max=20, n_values=(20,)),
+            dict(methods=("ON2",), on_r_min=15),
+            dict(methods=("ED",), ed_threshold=0.0),
+        ],
+    )
+    def test_option_out_of_method_range(self, kw):
+        with pytest.raises(ConfigError):
+            small_config(**kw)
+
     def test_ed_needs_threshold(self):
         with pytest.raises(ConfigError):
             small_config(methods=("ED",))
