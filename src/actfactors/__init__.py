@@ -66,14 +66,13 @@ from .models import (
 from .analysis import ols_r2, pc_scores, projection_distance, variance_explained
 from .panel import PanelDataset, clean_outliers, ingest_csv
 from .spectral import (
-    CorrelationMatrix,
-    CovarianceMatrix,
     DataMatrix,
     Spectrum,
     eigenvalues_desc,
     kaiser_population_count,
     naive_kaiser_estimate,
     sample_covariance,
+    spectra,
     to_correlation,
 )
 

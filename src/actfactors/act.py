@@ -193,9 +193,9 @@ def act_select(adjusted: AdjustedSpectrum) -> int:
     return int(hits[-1] + 1) if hits.size else 0
 
 
-def act_estimate(spec: Spectrum, n: int, r_max: int | None = None, **kwargs) -> int:
+def act_estimate(spec: Spectrum, n: int, r_max: int | None = None) -> int:
     """Adjusted correlation thresholding count from a correlation spectrum."""
-    return act_select(adjust_eigenvalues(spec, n, r_max, **kwargs))
+    return act_select(adjust_eigenvalues(spec, n, r_max))
 
 
 def psi(x: float, law: SpectralLaw) -> float:

@@ -26,7 +26,7 @@ from .harness import (
     run_table1,
 )
 from .panel import PanelDataset, clean_outliers, ingest_csv
-from .spectral import eigenvalues_desc, sample_covariance, to_correlation
+from .spectral import eigenvalues_desc, sample_covariance, spectra, to_correlation
 
 __all__ = ["main", "estimate_report", "analyze_report"]
 
@@ -53,15 +53,13 @@ def estimate_report(
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
     r_max = r_max or default_r_max(p, n)
     check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
-    cov = sample_covariance(X)
-    cov_spec = eigenvalues_desc(cov, n)
-    corr_spec = eigenvalues_desc(to_correlation(cov), n)
-    spectra = {"cov": cov_spec, "corr": corr_spec}
+    cov_spec, corr_spec = spectra(X)
+    by_basis = {"cov": cov_spec, "corr": corr_spec}
     results = {}
     for m in methods:
         default_basis, estimate = METHODS[m]
         try:
-            results[m] = {"k": estimate(spectra[basis or default_basis], n, r_max, ed_threshold, on_r_min)}
+            results[m] = {"k": estimate(by_basis[basis or default_basis], n, r_max, ed_threshold, on_r_min)}
         except ActFactorsError as exc:
             results[m] = {"error": f"{type(exc).__name__}: {exc}"}
     adjusted_info = {}
@@ -270,10 +268,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ActFactorsError as exc:
+    except (ActFactorsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

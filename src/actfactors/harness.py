@@ -21,14 +21,7 @@ from .act import act_estimate, default_r_max
 from .baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from .errors import ActFactorsError, ConfigError
 from .models import SeededRng, build_case, sample_data, population_correlation, table1_scenario
-from .spectral import (
-    Spectrum,
-    eigenvalues_desc,
-    kaiser_population_count,
-    naive_kaiser_estimate,
-    sample_covariance,
-    to_correlation,
-)
+from .spectral import Spectrum, kaiser_population_count, naive_kaiser_estimate, spectra
 
 __all__ = [
     "METHODS",
@@ -202,9 +195,7 @@ def _run_replications(plan: CellPlan, rep_indices: range) -> dict:
             plan.case_id, plan.p, plan.k_true, g, plan.family
         )
         X = sample_data(spec, plan.n, g)
-        cov = sample_covariance(X)
-        cov_spec = eigenvalues_desc(cov, plan.n)
-        corr_spec = eigenvalues_desc(to_correlation(cov), plan.n)
+        cov_spec, corr_spec = spectra(X)
         for tally, basis, estimate in estimators:
             m_spec = cov_spec if basis == "cov" else corr_spec
             try:
@@ -359,7 +350,7 @@ def aggregate(results: list[CellResult], config: ExperimentConfig) -> Replicatio
         "cell_seed_rule": "SeedSequence([master_seed, cell_index]).generate_state(1, uint64)",
         "replication_rule": "SeededRng(cell_seed, replication_index)",
         "fixed_loadings_stream": "replications (one past the last index)",
-        "notes": "ON2 maps to the gap-ratio argmax with r_min=0 and the shared r_max",
+        "notes": "ON2 is an alias of ON with the shared r_min and r_max",
     }
     return ReplicationReport(config=cfg, cells=cells)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .spectral import CorrelationMatrix, CovarianceMatrix, DataMatrix, to_correlation
+from .spectral import DataMatrix, to_correlation
 
 __all__ = [
     "SeededRng",
@@ -168,11 +168,13 @@ def sample_data(
     return DataMatrix(spec.intercept + f @ spec.loadings.T + eps)
 
 
-def population_correlation(spec: FactorModelSpec) -> CorrelationMatrix:
+def population_correlation(spec: FactorModelSpec) -> np.ndarray:
     """Correlation matrix of Sigma = B B^T + diag(nu2)."""
     sigma = spec.loadings @ spec.loadings.T + np.diag(spec.noise_variances)
     sigma = (sigma + sigma.T) / 2.0
-    return to_correlation(CovarianceMatrix(sigma))
+    if not np.all(np.isfinite(sigma)):
+        raise DataError("covariance matrix contains non-finite entries")
+    return to_correlation(sigma)
 
 
 def population_mixing(spec: FactorModelSpec) -> tuple[np.ndarray, np.ndarray]:

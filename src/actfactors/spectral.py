@@ -14,9 +14,8 @@ from .errors import DataError, DimensionError, ZeroVarianceSeries
 
 __all__ = [
     "DataMatrix",
-    "CovarianceMatrix",
-    "CorrelationMatrix",
     "Spectrum",
+    "spectra",
     "sample_covariance",
     "to_correlation",
     "eigenvalues_desc",
@@ -33,15 +32,6 @@ def _as_matrix(values, what: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"{what} must be 2-dimensional, got shape {arr.shape}")
     return arr
-
-
-def _check_square_symmetric(arr: np.ndarray, rel_tol: float, what: str) -> None:
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"{what} must be square, got shape {arr.shape}")
-    scale = np.abs(arr).max() if arr.size else 0.0
-    asym = np.abs(arr - arr.T).max() if arr.size else 0.0
-    if asym > rel_tol * max(scale, 1e-300):
-        raise DataError(f"{what} is asymmetric beyond {rel_tol:g} relative ({asym:g})")
 
 
 @dataclass(frozen=True)
@@ -68,45 +58,6 @@ class DataMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Symmetric p x p covariance. PSD is expected but not verified here
-    (that costs an eigensolve); eigenvalues_desc enforces it on use."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.values, "covariance matrix")
-        _check_square_symmetric(arr, 1e-12, "covariance matrix")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("covariance matrix contains non-finite entries")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric p x p matrix with unit diagonal and off-diagonals in [-1, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.values, "correlation matrix")
-        _check_square_symmetric(arr, 1e-12, "correlation matrix")
-        if np.abs(np.diag(arr) - 1.0).max() > 1e-12:
-            raise DataError("correlation matrix diagonal must be 1")
-        if np.abs(arr).max() > 1.0 + 1e-12:
-            raise DataError("correlation entries must lie in [-1, 1]")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -140,23 +91,28 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", arr)
 
 
-def sample_covariance(X: DataMatrix | np.ndarray) -> CovarianceMatrix:
+def sample_covariance(X: DataMatrix | np.ndarray) -> np.ndarray:
     """Sample covariance n^{-1} sum_i (y_i - ybar)(y_i - ybar)^T (divisor n)."""
-    arr = X.values if isinstance(X, DataMatrix) else _as_matrix(X, "data matrix")
-    n = arr.shape[0]
-    if n < 2:
-        raise DimensionError(f"covariance needs at least 2 rows, got {n}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("data matrix contains non-finite entries")
+    if isinstance(X, DataMatrix):
+        arr = X.values
+    else:
+        arr = _as_matrix(X, "data matrix")
+        if arr.shape[0] < 2:
+            raise DimensionError(f"covariance needs at least 2 rows, got {arr.shape[0]}")
+        if not np.all(np.isfinite(arr)):
+            raise DataError("data matrix contains non-finite entries")
     centered = arr - arr.mean(axis=0)
-    cov = centered.T @ centered / n
+    cov = centered.T @ centered / arr.shape[0]
     cov = (cov + cov.T) / 2.0
-    return CovarianceMatrix(cov)
+    # finite data can still overflow in the Gram product
+    if not np.all(np.isfinite(cov)):
+        raise DataError("covariance matrix contains non-finite entries")
+    return cov
 
 
-def to_correlation(M: CovarianceMatrix | np.ndarray) -> CorrelationMatrix:
+def to_correlation(M: np.ndarray) -> np.ndarray:
     """Rescale a covariance to unit diagonal: D^{-1/2} M D^{-1/2}, D = diag(M)."""
-    arr = M.values if isinstance(M, CovarianceMatrix) else _as_matrix(M, "covariance matrix")
+    arr = _as_matrix(M, "covariance matrix")
     p = arr.shape[0]
     d = np.diag(arr).copy()
     eps0 = 1e-12 * np.trace(arr) / p
@@ -168,24 +124,37 @@ def to_correlation(M: CovarianceMatrix | np.ndarray) -> CorrelationMatrix:
     # round-off can push |r| marginally past 1; clip and pin the diagonal
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
-    corr = (corr + corr.T) / 2.0
-    return CorrelationMatrix(corr)
+    return (corr + corr.T) / 2.0
 
 
-def eigenvalues_desc(
-    M: CovarianceMatrix | CorrelationMatrix | np.ndarray, n: int = 0
-) -> Spectrum:
+def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
     """All p eigenvalues of a symmetric PSD matrix, descending.
 
     Near-zero eigenvalues are snapped to 0: round-off negatives within the
     PSD tolerance and the positive dust left on rank-deficient matrices,
     so a rank-r input reports exactly p - r zeros.
     """
-    if isinstance(M, (CovarianceMatrix, CorrelationMatrix)):
-        arr = M.values
-    else:
-        arr = _as_matrix(M, "matrix")
-        _check_square_symmetric(arr, 1e-8, "matrix")
+    arr = _as_matrix(M, "matrix")
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {arr.shape}")
+    scale = np.abs(arr).max() if arr.size else 0.0
+    asym = np.abs(arr - arr.T).max() if arr.size else 0.0
+    if asym > 1e-8 * max(scale, 1e-300):
+        raise DataError(f"matrix is asymmetric beyond 1e-08 relative ({asym:g})")
+    return _spectrum(arr, n)
+
+
+def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
+    """Covariance and correlation spectra of a panel, both tagged with X.n.
+
+    The same arithmetic as eigenvalues_desc on sample_covariance and
+    to_correlation, without re-checking the symmetric matrices built here.
+    """
+    cov = sample_covariance(X)
+    return _spectrum(cov, X.n), _spectrum(to_correlation(cov), X.n)
+
+
+def _spectrum(arr: np.ndarray, n: int) -> Spectrum:
     w = np.linalg.eigvalsh(arr)
     w = np.sort(w)[::-1]
     p = arr.shape[0]
@@ -199,7 +168,7 @@ def eigenvalues_desc(
     return Spectrum(w, p=p, n=n)
 
 
-def kaiser_population_count(R: CorrelationMatrix) -> int:
+def kaiser_population_count(R: np.ndarray) -> int:
     """max{j : lambda_j(R) > 1}, the population count of above-one eigenvalues."""
     w = eigenvalues_desc(R).eigenvalues
     return int(np.count_nonzero(w > 1.0 + KAISER_TOL))

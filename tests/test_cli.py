@@ -6,7 +6,7 @@ import pytest
 from actfactors.act import act_estimate, default_r_max
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import analyze_report, estimate_report, main
-from actfactors.errors import ConfigError
+from actfactors.errors import ConfigError, DegenerateGap
 from actfactors.harness import VALID_METHODS
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, ingest_csv
@@ -167,6 +167,24 @@ class TestExitCodes:
 
     def test_missing_file_is_3(self):
         assert main(["estimate", "/nonexistent/panel.csv"]) == 3
+
+    def test_covariance_overflow_is_3(self, tmp_path, capsys):
+        # every entry is finite, but the squared deviations overflow
+        g = np.random.default_rng(7)
+        path = write_panel_csv(tmp_path / "huge.csv", 1e160 * g.standard_normal((40, 6)))
+        assert main(["estimate", path]) == 3
+        assert "covariance matrix contains non-finite entries" in capsys.readouterr().err
+
+    def test_method_error_outside_data_errors_is_3(self, tmp_path, monkeypatch, capsys):
+        def degenerate(*args, **kwargs):
+            raise DegenerateGap("tied eigenvalues")
+
+        monkeypatch.setattr("actfactors.cli.analyze_report", degenerate)
+        g = SeededRng(58).generator()
+        panel_path = write_panel_csv(tmp_path / "p.csv", g.standard_normal((30, 5)))
+        factor_path = write_panel_csv(tmp_path / "f.csv", g.standard_normal((30, 2)))
+        assert main(["analyze", panel_path, "--factors", factor_path]) == 3
+        assert "tied eigenvalues" in capsys.readouterr().err
 
     def test_argparse_error_is_2(self, capsys):
         assert main(["simulate", "--case", "9", "--p", "20", "--n", "50"]) == 2

@@ -167,6 +167,13 @@ class TestReportShape:
         assert "cell_seed_rule" in manifest
         assert doc["cells"][0]["cell_seed"] == _cell_seed(5, 0)
 
+    def test_on2_is_on_with_shared_r_min(self):
+        report = run_experiment(small_config(replications=4, methods=("ON", "ON2"), on_r_min=3))
+        methods = report.cells[0]["methods"]
+        assert methods["ON"] == methods["ON2"]
+        notes = report.config["seed_manifest"]["notes"]
+        assert "r_min=0" not in notes and "shared r_min" in notes
+
     def test_text_table_layout(self):
         report = run_experiment(small_config(replications=4))
         text = render_text_table(report)

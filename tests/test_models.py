@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actfactors.errors import ConfigError
+from actfactors.errors import ConfigError, DataError
 from actfactors.models import (
     FactorModelSpec,
     SeededRng,
@@ -99,7 +99,7 @@ class TestPopulationCorrelation:
         spec = FactorModelSpec(
             np.zeros((5, 1)), np.full(5, 2.0), np.zeros(5), family="gaussian"
         )
-        np.testing.assert_allclose(population_correlation(spec).values, np.eye(5), atol=1e-14)
+        np.testing.assert_allclose(population_correlation(spec), np.eye(5), atol=1e-14)
 
     def test_two_series_half_correlation(self):
         spec = FactorModelSpec(
@@ -107,14 +107,20 @@ class TestPopulationCorrelation:
             np.array([1.0, 1.0, 1.0]),
             np.zeros(3),
         )
-        R = population_correlation(spec).values
+        R = population_correlation(spec)
         assert R[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_mixing_identity(self):
         spec = build_case(2, 12, 3, SeededRng(9))
         q1, q2 = population_mixing(spec)
-        R = population_correlation(spec).values
+        R = population_correlation(spec)
         np.testing.assert_allclose(q1 @ q1.T + q2 @ q2.T, R, atol=1e-12)
+
+    def test_overflowing_covariance_rejected(self):
+        # finite loadings whose squares overflow
+        spec = FactorModelSpec(np.full((4, 1), 1e200), np.ones(4), np.zeros(4))
+        with pytest.raises(DataError, match="covariance matrix contains non-finite entries"):
+            population_correlation(spec)
 
     def test_trace_is_p(self):
         spec = build_case(4, 17, 5, SeededRng(10))

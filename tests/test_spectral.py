@@ -4,31 +4,33 @@ from hypothesis import given, settings, strategies as st
 
 from actfactors.errors import DataError, DimensionError, ZeroVarianceSeries
 from actfactors.spectral import (
-    CorrelationMatrix,
     DataMatrix,
     Spectrum,
     eigenvalues_desc,
     kaiser_population_count,
     naive_kaiser_estimate,
     sample_covariance,
+    spectra,
     to_correlation,
 )
+
+panel_shapes = st.tuples(st.integers(3, 40), st.integers(2, 60))
 
 
 class TestSampleCovariance:
     def test_two_point_n_divisor(self):
         cov = sample_covariance(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        np.testing.assert_allclose(cov.values, [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
+        np.testing.assert_allclose(cov, [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
     def test_constant_columns(self):
         cov = sample_covariance(np.array([[1.0, 5.0]] * 3))
-        np.testing.assert_allclose(cov.values, np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(cov, np.zeros((2, 2)), atol=1e-14)
 
     def test_hand_evaluation(self):
         # mean (1, 2); deviations (-1,-2), (0,-1), (1,3); divide by n=3
         cov = sample_covariance(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 5.0]]))
         expected = [[2.0 / 3.0, 5.0 / 3.0], [5.0 / 3.0, 14.0 / 3.0]]
-        np.testing.assert_allclose(cov.values, expected, rtol=1e-14)
+        np.testing.assert_allclose(cov, expected, rtol=1e-14)
 
     def test_single_row_rejected(self):
         with pytest.raises(DimensionError):
@@ -42,11 +44,11 @@ class TestSampleCovariance:
 class TestToCorrelation:
     def test_symmetric_scaling(self):
         corr = to_correlation(np.array([[4.0, 2.0], [2.0, 4.0]]))
-        np.testing.assert_allclose(corr.values, [[1.0, 0.5], [0.5, 1.0]], rtol=1e-14)
+        np.testing.assert_allclose(corr, [[1.0, 0.5], [0.5, 1.0]], rtol=1e-14)
 
     def test_identity(self):
         corr = to_correlation(np.eye(4))
-        np.testing.assert_allclose(corr.values, np.eye(4))
+        np.testing.assert_allclose(corr, np.eye(4))
 
     def test_zero_variance_series(self):
         with pytest.raises(ZeroVarianceSeries) as exc:
@@ -62,8 +64,8 @@ class TestToCorrelation:
         m = a.T @ a / (p + 3)
         d = rng.uniform(0.1, 10.0, p)
         scaled = m * np.outer(d, d)
-        left = to_correlation((scaled + scaled.T) / 2).values
-        right = to_correlation((m + m.T) / 2).values
+        left = to_correlation((scaled + scaled.T) / 2)
+        right = to_correlation((m + m.T) / 2)
         np.testing.assert_allclose(left, right, atol=1e-10)
 
 
@@ -104,6 +106,50 @@ class TestEigenvaluesDesc:
         assert abs(corr_spec.eigenvalues.sum() - p) <= 1e-8 * p
 
 
+class TestSpectra:
+    @staticmethod
+    def panel(shape, seed):
+        n, p = shape
+        rng = np.random.default_rng(seed)
+        return DataMatrix(rng.standard_normal((n, p)) * rng.uniform(0.5, 5.0, p) + rng.uniform(-3.0, 3.0, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=panel_shapes, seed=st.integers(0, 10_000))
+    def test_bit_identical_to_public_composition(self, shape, seed):
+        X = self.panel(shape, seed)
+        cov_spec, corr_spec = spectra(X)
+        cov = sample_covariance(X)
+        assert cov_spec.n == corr_spec.n == X.n
+        np.testing.assert_array_equal(cov_spec.eigenvalues, eigenvalues_desc(cov, X.n).eigenvalues)
+        np.testing.assert_array_equal(corr_spec.eigenvalues, eigenvalues_desc(to_correlation(cov), X.n).eigenvalues)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 30), extra=st.integers(0, 30), seed=st.integers(0, 10_000))
+    def test_exact_zeros_when_p_at_least_n(self, n, extra, seed):
+        # centered data has rank at most n - 1, so p - n + 1 eigenvalues vanish
+        p = n + extra
+        _, corr_spec = spectra(self.panel((n, p), seed))
+        assert np.count_nonzero(corr_spec.eigenvalues == 0.0) >= p - n + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=panel_shapes, seed=st.integers(0, 10_000))
+    def test_column_permutation_invariance(self, shape, seed):
+        X = self.panel(shape, seed)
+        perm = np.random.default_rng(seed + 1).permutation(X.p)
+        for a, b in zip(spectra(X), spectra(DataMatrix(X.values[:, perm]))):
+            np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=panel_shapes, seed=st.integers(0, 10_000), level=st.floats(-1e3, 1e3))
+    def test_constant_column_names_its_column(self, shape, seed, level):
+        values = self.panel(shape, seed).values
+        col = seed % values.shape[1]
+        values[:, col] = level
+        with pytest.raises(ZeroVarianceSeries) as exc:
+            spectra(DataMatrix(values))
+        assert exc.value.column == col + 1
+
+
 class TestSpectrumInvariants:
     def test_rejects_increasing(self):
         with pytest.raises(DataError):
@@ -128,7 +174,7 @@ class TestDataMatrix:
 
 class TestKaiserCounts:
     def test_identity_zero(self):
-        assert kaiser_population_count(CorrelationMatrix(np.eye(8))) == 0
+        assert kaiser_population_count(np.eye(8)) == 0
 
     def test_naive_direct(self):
         spec = Spectrum(np.array([2.5, 1.2, 0.8, 0.5]), p=4, n=100)
