@@ -147,10 +147,11 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
         raise DataError(f"outlier cleaning needs at least 4 observations, got {n}")
     log = list(ds.cleaning_log)
     drop_rows: set[int] = set()
+    # per column, interpolating linearly between order statistics
+    quartiles = np.percentile(values, [25.0, 75.0], axis=0)
     for j in range(p):
         x = values[:, j]
-        q1, q3 = np.percentile(x, [25.0, 75.0])  # linear interpolation
-        iqr = q3 - q1
+        iqr = quartiles[1, j] - quartiles[0, j]
         if iqr == 0.0:
             if np.ptp(x) > 0.0:
                 log.append({"series": ds.names[j], "action": "skipped-zero-iqr"})

@@ -102,24 +102,33 @@ def sample_covariance(X: DataMatrix | np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(arr)):
             raise DataError("data matrix contains non-finite entries")
     centered = arr - arr.mean(axis=0)
-    cov = centered.T @ centered / arr.shape[0]
-    cov = (cov + cov.T) / 2.0
-    # finite data can still overflow in the Gram product
-    if not np.all(np.isfinite(cov)):
-        raise DataError("covariance matrix contains non-finite entries")
+    # finite data can still overflow in the Gram product; the check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = centered.T @ centered / arr.shape[0]
+        cov = (cov + cov.T) / 2.0
+    _check_finite(cov)
     return cov
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DataError("covariance matrix contains non-finite entries")
+
+
+def _inverse_sd(d: np.ndarray) -> np.ndarray:
+    """1/sqrt(d) for the variances d; a non-finite variance is a DataError,
+    one below 1e-12 of the mean variance names its 1-based column."""
+    _check_finite(d)
+    bad = np.flatnonzero(d <= 1e-12 * d.mean())
+    if bad.size:
+        raise ZeroVarianceSeries(int(bad[0]) + 1)
+    return 1.0 / np.sqrt(d)
 
 
 def to_correlation(M: np.ndarray) -> np.ndarray:
     """Rescale a covariance to unit diagonal: D^{-1/2} M D^{-1/2}, D = diag(M)."""
     arr = _as_matrix(M, "covariance matrix")
-    p = arr.shape[0]
-    d = np.diag(arr).copy()
-    eps0 = 1e-12 * np.trace(arr) / p
-    bad = np.flatnonzero(d <= eps0)
-    if bad.size:
-        raise ZeroVarianceSeries(int(bad[0]) + 1)
-    inv_sd = 1.0 / np.sqrt(d)
+    inv_sd = _inverse_sd(np.diag(arr))
     corr = arr * np.outer(inv_sd, inv_sd)
     # round-off can push |r| marginally past 1; clip and pin the diagonal
     np.clip(corr, -1.0, 1.0, out=corr)
@@ -141,23 +150,43 @@ def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
     asym = np.abs(arr - arr.T).max() if arr.size else 0.0
     if asym > 1e-8 * max(scale, 1e-300):
         raise DataError(f"matrix is asymmetric beyond 1e-08 relative ({asym:g})")
-    return _spectrum(arr, n)
+    return _spectrum(arr, n, arr.shape[0])
 
 
 def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, both tagged with X.n.
 
-    The same arithmetic as eigenvalues_desc on sample_covariance and
-    to_correlation, without re-checking the symmetric matrices built here.
+    For p <= n: eigenvalues_desc on sample_covariance and to_correlation,
+    bit for bit, without re-checking the symmetric matrices built here.
+    For p > n the centred panel Z has rank at most n - 1, so the p x p
+    spectra are those of the n x n Gram matrices Z Z^T/n and Zs Zs^T/n
+    (Zs: each column of Z divided by its standard deviation) padded with
+    p - n zeros; they agree with the p x p route to round-off.
     """
-    cov = sample_covariance(X)
-    return _spectrum(cov, X.n), _spectrum(to_correlation(cov), X.n)
+    n, p = X.n, X.p
+    if p <= n:
+        cov = sample_covariance(X)
+        return _spectrum(cov, n, p), _spectrum(to_correlation(cov), n, p)
+    Z = X.values - X.values.mean(axis=0)
+    # finite data can still overflow in these products; the checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.einsum("ij,ij->j", Z, Z) / n
+        inv_sd = _inverse_sd(d)
+        G = Z @ Z.T / n
+        Zs = Z * inv_sd
+        Gs = Zs @ Zs.T / n
+        G = (G + G.T) / 2.0
+        Gs = (Gs + Gs.T) / 2.0
+    _check_finite(G)
+    _check_finite(Gs)
+    return _spectrum(G, n, p), _spectrum(Gs, n, p)
 
 
-def _spectrum(arr: np.ndarray, n: int) -> Spectrum:
+def _spectrum(arr: np.ndarray, n: int, p: int) -> Spectrum:
+    """The p eigenvalues of arr, descending; an arr of order below p stands
+    for a p x p matrix whose remaining eigenvalues are exact zeros."""
     w = np.linalg.eigvalsh(arr)
-    w = np.sort(w)[::-1]
-    p = arr.shape[0]
+    w = np.sort(np.concatenate((w, np.zeros(p - w.size))))[::-1]
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     neg_tol = 1e-8 * scale
     # solver round-off is O(p * eps * ||M||); snapping at 8x that zeroes the

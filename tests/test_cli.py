@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import actfactors
 from actfactors.act import act_estimate, default_r_max
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import analyze_report, estimate_report, main
@@ -11,6 +16,17 @@ from actfactors.harness import VALID_METHODS
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, ingest_csv
 from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
+
+
+def run_cli(args, env, **kwargs):
+    """`actfactors ARGS` in a child process with the environment env, which
+    is given this checkout's package on its PYTHONPATH."""
+    src = str(Path(actfactors.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "actfactors.cli", *args],
+        env={**env, "PYTHONPATH": path}, timeout=300, **kwargs,
+    )
 
 
 def write_panel_csv(path, values, names=None):
@@ -168,12 +184,16 @@ class TestExitCodes:
     def test_missing_file_is_3(self):
         assert main(["estimate", "/nonexistent/panel.csv"]) == 3
 
-    def test_covariance_overflow_is_3(self, tmp_path, capsys):
-        # every entry is finite, but the squared deviations overflow
+    def test_covariance_overflow_is_3(self, tmp_path, capfd):
+        # every entry is finite, but the squared deviations overflow; stderr
+        # holds the error line alone, with no numpy overflow warning before it
         g = np.random.default_rng(7)
-        path = write_panel_csv(tmp_path / "huge.csv", 1e160 * g.standard_normal((40, 6)))
-        assert main(["estimate", path]) == 3
-        assert "covariance matrix contains non-finite entries" in capsys.readouterr().err
+        for n, p in ((40, 6), (4, 6)):
+            path = write_panel_csv(tmp_path / f"huge-{n}x{p}.csv", 1e160 * g.standard_normal((n, p)))
+            assert run_cli(["estimate", path], dict(os.environ)).returncode == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: covariance matrix contains non-finite entries\n"
 
     def test_method_error_outside_data_errors_is_3(self, tmp_path, monkeypatch, capsys):
         def degenerate(*args, **kwargs):
@@ -210,6 +230,19 @@ class TestSimulateCommand:
         )
         assert rc == 0
         assert "TRUE" in capsys.readouterr().out
+
+
+    def test_blas_thread_count_does_not_change_the_report(self):
+        # p > n cells, so the dual-Gram route runs; the child with one BLAS
+        # thread and the child with the inherited setting agree byte for byte
+        args = [
+            "simulate", "--case", "1", "2", "3", "4", "--p", "400", "--n", "120", "--reps", "6",
+            "--seed", "3", "--methods", "ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER",
+        ]
+        one = run_cli(args, {**os.environ, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, check=True)
+        inherited = run_cli(args, dict(os.environ), capture_output=True, check=True)
+        assert json.loads(one.stdout)["cells"]
+        assert one.stdout == inherited.stdout
 
 
 class TestTable1Command:

@@ -97,6 +97,24 @@ class TestCleanOutliers:
             for e in cleaned.cleaning_log
         )
 
+    def test_matches_per_column_quartiles(self):
+        # reference: each column's quartiles from its own np.percentile call
+        rng = np.random.default_rng(11)
+        x = np.round(rng.standard_cauchy((60, 200)), 1)
+        x[:, :5] = np.round(x[:, :5] / 50.0)  # ties, so some columns have zero IQR
+        names = tuple(f"s{j}" for j in range(x.shape[1]))
+        expected, replaced = x.copy(), []
+        for j in range(x.shape[1]):
+            q1, q3 = np.percentile(x[:, j], [25.0, 75.0])
+            mask = np.abs(x[:, j] - x[:, j].mean()) > 10.0 * (q3 - q1)
+            if q3 > q1 and mask.any():
+                expected[mask, j] = np.median(x[:, j])
+                replaced += [(f"s{j}", int(i) + 1) for i in np.flatnonzero(mask)]
+        cleaned = clean_outliers(PanelDataset(names, DataMatrix(x)))
+        np.testing.assert_array_equal(cleaned.data.values, expected)
+        logged = [(e["series"], e["row"]) for e in cleaned.cleaning_log if e["action"] == "replaced-median"]
+        assert replaced and logged == replaced
+
     def test_no_outliers_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((40, 3))

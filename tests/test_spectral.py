@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actfactors.errors import DataError, DimensionError, ZeroVarianceSeries
+from actfactors.act import default_r_max
+from actfactors.errors import ActFactorsError, DataError, DimensionError, ZeroVarianceSeries
+from actfactors.harness import METHODS
 from actfactors.spectral import (
     DataMatrix,
     Spectrum,
@@ -15,6 +19,9 @@ from actfactors.spectral import (
 )
 
 panel_shapes = st.tuples(st.integers(3, 40), st.integers(2, 60))
+# (n, p) on each side of the route spectra() chooses from the shape
+small_p_shapes = st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n)))
+large_p_shapes = st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, n + 60)))
 
 
 class TestSampleCovariance:
@@ -54,6 +61,13 @@ class TestToCorrelation:
         with pytest.raises(ZeroVarianceSeries) as exc:
             to_correlation(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert exc.value.column == 2
+
+    def test_infinite_variance_is_not_zero_variance(self):
+        # the non-finite test runs first: an inf diagonal also makes the
+        # zero-variance tolerance inf, which every column would fall under
+        with pytest.raises(DataError, match="non-finite") as exc:
+            to_correlation(np.array([[0.0, 0.0], [0.0, np.inf]]))
+        assert not isinstance(exc.value, ZeroVarianceSeries)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -113,15 +127,41 @@ class TestSpectra:
         rng = np.random.default_rng(seed)
         return DataMatrix(rng.standard_normal((n, p)) * rng.uniform(0.5, 5.0, p) + rng.uniform(-3.0, 3.0, p))
 
+    @staticmethod
+    def composition(X):
+        cov = sample_covariance(X)
+        return eigenvalues_desc(cov, X.n), eigenvalues_desc(to_correlation(cov), X.n)
+
     @settings(max_examples=60, deadline=None)
-    @given(shape=panel_shapes, seed=st.integers(0, 10_000))
+    @given(shape=small_p_shapes, seed=st.integers(0, 10_000))
     def test_bit_identical_to_public_composition(self, shape, seed):
         X = self.panel(shape, seed)
         cov_spec, corr_spec = spectra(X)
-        cov = sample_covariance(X)
         assert cov_spec.n == corr_spec.n == X.n
-        np.testing.assert_array_equal(cov_spec.eigenvalues, eigenvalues_desc(cov, X.n).eigenvalues)
-        np.testing.assert_array_equal(corr_spec.eigenvalues, eigenvalues_desc(to_correlation(cov), X.n).eigenvalues)
+        for a, b in zip((cov_spec, corr_spec), self.composition(X)):
+            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=large_p_shapes, seed=st.integers(0, 10_000))
+    def test_gram_route_matches_composition(self, shape, seed):
+        X = self.panel(shape, seed)
+        n, p = shape
+        gram, square = spectra(X), self.composition(X)
+        for a, b in zip(gram, square):
+            assert a.n == n and a.p == p
+            np.testing.assert_array_equal(a.eigenvalues == 0.0, b.eigenvalues == 0.0)
+            assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12 * b.eigenvalues[0]
+
+        def outcomes(cov_spec, corr_spec):
+            out = {}
+            for name, (basis, estimate) in METHODS.items():
+                try:
+                    out[name] = estimate(cov_spec if basis == "cov" else corr_spec, n, default_r_max(p, n), 0.5, 0)
+                except ActFactorsError as exc:
+                    out[name] = type(exc).__name__
+            return out
+
+        assert outcomes(*gram) == outcomes(*square)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 30), extra=st.integers(0, 30), seed=st.integers(0, 10_000))
@@ -148,6 +188,19 @@ class TestSpectra:
         with pytest.raises(ZeroVarianceSeries) as exc:
             spectra(DataMatrix(values))
         assert exc.value.column == col + 1
+
+    @pytest.mark.parametrize("shape", [(40, 6), (4, 6)], ids=["square-route", "gram-route"])
+    def test_overflowing_variance_is_a_data_error(self, shape):
+        # column 1 is constant, column 2 finite but its squared deviations
+        # overflow: the non-finite variance is reported, without a numpy warning
+        values = self.panel(shape, 7).values
+        values[:, 0] = 1.0
+        values[:, 1] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite") as exc:
+                spectra(DataMatrix(values))
+        assert not isinstance(exc.value, ZeroVarianceSeries)
 
 
 class TestSpectrumInvariants:
