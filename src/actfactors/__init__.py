@@ -57,10 +57,7 @@ from .models import (
     intro_counterexample_spec,
     noise_to_signal_norm,
     population_correlation,
-    population_mixing,
     sample_data,
-    spec_from_json,
-    spec_to_json,
     table1_scenario,
 )
 from .analysis import ols_r2, pc_scores, projection_distance, variance_explained

@@ -112,25 +112,24 @@ def act_threshold(p: int, n: int) -> float:
     return 1.0 + math.sqrt(p / (n - 1))
 
 
-def _check_j(j: int, p: int) -> None:
-    if not 1 <= j <= p - 1:
-        raise ConfigError(f"index j={j} must satisfy 1 <= j <= p-1={p - 1}")
-
-
-def _resolvent_sum(j: int, spec: Spectrum, z: float) -> float:
-    """sum_{l>j} (lambda_l - z)^{-1} plus the synthetic node term."""
-    lam = spec.eigenvalues
-    p = spec.p
-    _check_j(j, p)
+def _check_point(j: int, lam: np.ndarray, z: float) -> None:
+    if not 1 <= j <= lam.size - 1:
+        raise ConfigError(f"index j={j} must satisfy 1 <= j <= p-1={lam.size - 1}")
     if lam[j - 1] <= lam[j]:
         raise DegenerateGap(
             f"eigenvalues {j} and {j + 1} are tied ({lam[j - 1]:g}); the correction needs a strict gap"
         )
-    tail = lam[j:]
-    node = (3.0 * lam[j - 1] + lam[j]) / 4.0
-    if np.any(tail == z) or node == z:
+    if np.any(lam[j:] == z) or (3.0 * lam[j - 1] + lam[j]) / 4.0 == z:
         raise PoleAtZ(f"z={z:g} coincides with a pole of the transform")
-    return float(np.sum(1.0 / (tail - z))) + 1.0 / (node - z)
+
+
+def _stieltjes(lam: np.ndarray, j, z, rho=None):
+    """m_j(z), or mu_j(z) given rho = rho_j, for 1-based j and points z (scalars or arrays)."""
+    # diff[j, l] = lambda_l - z_j where l > j, and inf (a zero term) where l <= j
+    diff = np.where(np.less.outer(j, np.arange(1, lam.size + 1)), np.add.outer(-z, lam), np.inf)
+    node = (3.0 * lam[j - 1] + lam[j]) / 4.0
+    m = (np.sum(1.0 / diff, axis=-1) + 1.0 / (node - z)) / (lam.size - j)
+    return m if rho is None else -(1.0 - rho) / z + rho * m
 
 
 def partial_stieltjes(j: int, spec: Spectrum, z: float) -> float:
@@ -139,7 +138,8 @@ def partial_stieltjes(j: int, spec: Spectrum, z: float) -> float:
     Sums (lambda_l - z)^{-1} over l = j+1..p plus one synthetic node at
     (3 lambda_j + lambda_{j+1})/4, divided by p-j (p-j+1 summands).
     """
-    return _resolvent_sum(j, spec, z) / (spec.p - j)
+    _check_point(j, spec.eigenvalues, z)
+    return float(_stieltjes(spec.eigenvalues, j, z))
 
 
 def companion_stieltjes(j: int, spec: Spectrum, n: int, z: float) -> float:
@@ -148,43 +148,42 @@ def companion_stieltjes(j: int, spec: Spectrum, n: int, z: float) -> float:
         raise ConfigError(f"companion transform needs n >= 2, got {n}")
     if z == 0.0:
         raise PoleAtZ("z=0 is a pole of the companion transform")
-    rho = (spec.p - j) / (n - 1)
-    return -(1.0 - rho) / z + rho * partial_stieltjes(j, spec, z)
+    _check_point(j, spec.eigenvalues, z)
+    return float(_stieltjes(spec.eigenvalues, j, z, (spec.p - j) / (n - 1)))
 
 
 def adjust_eigenvalues(spec: Spectrum, n: int, r_max: int | None = None) -> AdjustedSpectrum:
     """Correct the top r_max eigenvalues: adjusted_j = -1/mu_j(lambda_j).
 
-    Exact ties among the leading eigenvalues are broken by lowering the
-    lower member by TIE_JITTER * lambda_j (flagged in the result).
+    Exact ties among the leading eigenvalues, and the rest of a tied run past
+    r_max+1, are broken by lowering each lower member by TIE_JITTER * lambda_j.
     """
     p = spec.p
-    if r_max is None:
-        r_max = default_r_max(p, n)
+    r_max = default_r_max(p, n) if r_max is None else r_max
     if not 1 <= r_max <= p - 2:
         raise ConfigError(f"r_max={r_max} must satisfy 1 <= r_max <= p-2={p - 2}")
     if n < 2:
         raise ConfigError(f"adjustment needs n >= 2, got {n}")
 
     work = spec.eigenvalues.copy()
-    jittered = False
-    for j in range(r_max):
-        if work[j + 1] >= work[j]:
-            if work[j] <= 0.0:
-                raise DegenerateGap(f"cannot jitter a tie at eigenvalue {work[j]:g}")
-            work[j + 1] = min(work[j + 1], work[j]) - TIE_JITTER * work[j]
-            jittered = True
-    work_spec = Spectrum(work, p=p, n=spec.n) if jittered else spec
-
-    adjusted = np.empty(r_max)
-    for j in range(1, r_max + 1):
-        z = float(work[j - 1])
-        if z == 0.0:
-            raise PoleAtZ(f"eigenvalue {j} is zero; the spectrum is too degenerate to adjust")
-        adjusted[j - 1] = -1.0 / companion_stieltjes(j, work_spec, n, z)
-    return AdjustedSpectrum(
-        adjusted, act_threshold(p, n), p=p, n=n, r_max=r_max, jittered=jittered
-    )
+    ties = np.flatnonzero(work[1 : r_max + 1] >= work[:r_max])
+    for i in range(ties[0] if ties.size else p, p - 1):
+        if i >= r_max and work[i + 1] <= work[i]:
+            break
+        if work[i + 1] >= work[i]:
+            if work[i] <= 0.0:
+                raise DegenerateGap(f"cannot jitter a tie at eigenvalue {work[i]:g}")
+            work[i + 1] = min(work[i + 1], work[i]) - TIE_JITTER * work[i]
+    # the first j with a zero z or a node pole decides (a tie jitter left is a node pole)
+    z = work[:r_max]
+    bad = np.flatnonzero((z == 0.0) | ((3.0 * z + work[1 : r_max + 1]) / 4.0 == z))
+    if bad.size and z[bad[0]] == 0.0:
+        raise PoleAtZ(f"eigenvalue {bad[0] + 1} is zero; the spectrum is too degenerate to adjust")
+    if bad.size:
+        _check_point(int(bad[0]) + 1, work, z[bad[0]])
+    j = np.arange(1, r_max + 1)
+    adjusted = -1.0 / _stieltjes(work, j, z, (p - j) / (n - 1))
+    return AdjustedSpectrum(adjusted, act_threshold(p, n), p, n, r_max, jittered=ties.size > 0)
 
 
 def act_select(adjusted: AdjustedSpectrum) -> int:

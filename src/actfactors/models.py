@@ -10,7 +10,6 @@ nonzero means, which centering removes downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +23,9 @@ __all__ = [
     "build_case",
     "sample_data",
     "population_correlation",
-    "population_mixing",
     "table1_scenario",
     "intro_counterexample_spec",
     "noise_to_signal_norm",
-    "spec_to_json",
-    "spec_from_json",
 ]
 
 
@@ -170,21 +166,12 @@ def sample_data(
 
 def population_correlation(spec: FactorModelSpec) -> np.ndarray:
     """Correlation matrix of Sigma = B B^T + diag(nu2)."""
-    sigma = spec.loadings @ spec.loadings.T + np.diag(spec.noise_variances)
-    sigma = (sigma + sigma.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = spec.loadings @ spec.loadings.T + np.diag(spec.noise_variances)
+        sigma = (sigma + sigma.T) / 2.0
     if not np.all(np.isfinite(sigma)):
         raise DataError("covariance matrix contains non-finite entries")
     return to_correlation(sigma)
-
-
-def population_mixing(spec: FactorModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized mixing pair (Q1, Q2): R = Q1 Q1^T + Q2 Q2^T, where Q1
-    carries the factor contributions and Q2 the noise contributions."""
-    diag_sigma = np.sum(spec.loadings**2, axis=1) + spec.noise_variances
-    inv_sd = 1.0 / np.sqrt(diag_sigma)
-    q1 = spec.loadings * inv_sd[:, None]
-    q2 = np.diag(np.sqrt(spec.noise_variances) * inv_sd)
-    return q1, q2
 
 
 def table1_scenario(
@@ -248,36 +235,3 @@ def noise_to_signal_norm(spec: FactorModelSpec) -> float:
     Diagnostic only; Psi is diagonal here so this is a max of ratios."""
     diag_sigma = np.sum(spec.loadings**2, axis=1) + spec.noise_variances
     return float(np.max(spec.noise_variances / diag_sigma))
-
-
-_SCHEMA = "actfactors/factor-model-spec/v1"
-
-
-def spec_to_json(spec: FactorModelSpec) -> str:
-    """Serialize a model spec to a reproducibility-manifest JSON document."""
-    return json.dumps(
-        {
-            "schema": _SCHEMA,
-            "label": spec.label,
-            "family": spec.family,
-            "p": spec.p,
-            "k": spec.k,
-            "loadings": spec.loadings.tolist(),
-            "noise_variances": spec.noise_variances.tolist(),
-            "intercept": spec.intercept.tolist(),
-        },
-        indent=2,
-    )
-
-
-def spec_from_json(text: str) -> FactorModelSpec:
-    doc = json.loads(text)
-    if doc.get("schema") != _SCHEMA:
-        raise ConfigError(f"unknown spec schema {doc.get('schema')!r}")
-    return FactorModelSpec(
-        np.asarray(doc["loadings"], dtype=float),
-        np.asarray(doc["noise_variances"], dtype=float),
-        np.asarray(doc["intercept"], dtype=float),
-        family=doc["family"],
-        label=doc.get("label", ""),
-    )

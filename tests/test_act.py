@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,40 @@ from actfactors.spectral import Spectrum
 def spectrum(values, n=0):
     values = np.asarray(values, dtype=float)
     return Spectrum(values, p=values.size, n=n)
+
+
+def _oracle_adjust(lam, n, r_max):
+    """adjusted_j = -1/mu_j(lambda_j) as a plain loop over j and l, after the
+    tie jitter; the first failing j raises the program's error and message."""
+    lam = [float(x) for x in lam]
+    p = len(lam)
+    jittered = False
+    i = 0
+    while i < p - 1 and (i < r_max or lam[i + 1] > lam[i]):
+        if lam[i + 1] >= lam[i]:
+            if lam[i] <= 0.0:
+                raise DegenerateGap(f"cannot jitter a tie at eigenvalue {lam[i]:g}")
+            lam[i + 1] = min(lam[i + 1], lam[i]) - 1e-9 * lam[i]
+            jittered = True
+        i += 1
+    adjusted = []
+    for j in range(1, r_max + 1):
+        z = lam[j - 1]
+        if z == 0.0:
+            raise PoleAtZ(f"eigenvalue {j} is zero; the spectrum is too degenerate to adjust")
+        if lam[j - 1] <= lam[j]:
+            raise DegenerateGap(
+                f"eigenvalues {j} and {j + 1} are tied ({z:g}); the correction needs a strict gap"
+            )
+        node = (3.0 * lam[j - 1] + lam[j]) / 4.0
+        if node == z or z in lam[j:]:
+            raise PoleAtZ(f"z={z:g} coincides with a pole of the transform")
+        total = 1.0 / (node - z)
+        for l in range(j + 1, p + 1):
+            total += 1.0 / (lam[l - 1] - z)
+        rho = (p - j) / (n - 1)
+        adjusted.append(-1.0 / (-(1.0 - rho) / z + rho * total / (p - j)))
+    return np.array(adjusted), jittered
 
 
 class TestPartialStieltjes:
@@ -112,6 +148,74 @@ class TestAdjustEigenvalues:
         assert adj.jittered
         assert np.all(adj.adjusted > 0.0)
         assert np.all(adj.adjusted <= spec.eigenvalues[:2] + 1e-12)
+
+    def test_tie_run_past_r_max(self):
+        # the run 2, 2, 2 crosses index r_max + 1 = 4: jitter continues down
+        # the run instead of leaving lambda_4 below lambda_5
+        spec = spectrum([5.0, 3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.2], n=20)
+        adj = adjust_eigenvalues(spec, 20, r_max=3)
+        assert adj.jittered
+        expected, jittered = _oracle_adjust(spec.eigenvalues, 20, 3)
+        assert jittered
+        np.testing.assert_allclose(adj.adjusted, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "values, n, r_max, error, message",
+        [
+            pytest.param(
+                [5.0, 3.0, 0.0, -1e-9, -2e-9], 10, 3, PoleAtZ,
+                "eigenvalue 3 is zero; the spectrum is too degenerate to adjust",
+                id="zero-within-r_max",
+            ),
+            pytest.param(
+                [4.0, 2.0, 0.0, 0.0, 0.0], 3, 3, DegenerateGap,
+                "cannot jitter a tie at eigenvalue 0",
+                id="tie-at-zero",
+            ),
+            pytest.param(
+                [10.0, np.nextafter(10.0, 0.0), 1.0, 0.5], 10, 1, PoleAtZ,
+                "z=10 coincides with a pole of the transform",
+                id="one-ulp-gap-puts-node-on-z",
+            ),
+            pytest.param(
+                [10.0, np.nextafter(10.0, 0.0), 0.0, -1e-9, -2e-9], 10, 3, PoleAtZ,
+                "z=10 coincides with a pole of the transform",
+                id="node-pole-at-j1-before-zero-at-j3",
+            ),
+        ],
+    )
+    def test_error_messages(self, values, n, r_max, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            adjust_eigenvalues(spectrum(values, n=n), n, r_max=r_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_formula_loop(self, data):
+        # spectra with exact ties (drawn from a few values) inside and across
+        # r_max + 1; when p >= n the spectrum ends in p - n + 1 exact zeros
+        n = data.draw(st.integers(3, 60), label="n")
+        p = data.draw(st.integers(4, 80), label="p")
+        rank = min(p, n - 1)
+        top = data.draw(
+            st.lists(
+                st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.1, 10.0),
+                min_size=rank,
+                max_size=rank,
+            ),
+            label="values",
+        )
+        lam = np.concatenate([np.sort(top)[::-1], np.zeros(p - rank)])
+        r_max = data.draw(st.integers(1, p - 2), label="r_max")
+        spec = spectrum(lam, n=n)
+        try:
+            expected, jittered = _oracle_adjust(lam, n, r_max)
+        except (DegenerateGap, PoleAtZ) as err:
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                adjust_eigenvalues(spec, n, r_max)
+            return
+        adj = adjust_eigenvalues(spec, n, r_max)
+        np.testing.assert_allclose(adj.adjusted, expected, rtol=1e-12, atol=0.0)
+        assert adj.jittered == jittered
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000))

@@ -9,10 +9,7 @@ from actfactors.models import (
     intro_counterexample_spec,
     noise_to_signal_norm,
     population_correlation,
-    population_mixing,
     sample_data,
-    spec_from_json,
-    spec_to_json,
     table1_scenario,
 )
 from actfactors.spectral import eigenvalues_desc, kaiser_population_count
@@ -110,12 +107,6 @@ class TestPopulationCorrelation:
         R = population_correlation(spec)
         assert R[0, 1] == pytest.approx(0.5, abs=1e-15)
 
-    def test_mixing_identity(self):
-        spec = build_case(2, 12, 3, SeededRng(9))
-        q1, q2 = population_mixing(spec)
-        R = population_correlation(spec)
-        np.testing.assert_allclose(q1 @ q1.T + q2 @ q2.T, R, atol=1e-12)
-
     def test_overflowing_covariance_rejected(self):
         # finite loadings whose squares overflow
         spec = FactorModelSpec(np.full((4, 1), 1e200), np.ones(4), np.zeros(4))
@@ -175,18 +166,3 @@ class TestCounterexample:
     def test_precondition(self):
         with pytest.raises(ConfigError):
             intro_counterexample_spec(6, 5, 25.0, SeededRng(19))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        spec = build_case(4, 9, 3, SeededRng(20), family="uniform")
-        clone = spec_from_json(spec_to_json(spec))
-        np.testing.assert_array_equal(clone.loadings, spec.loadings)
-        np.testing.assert_array_equal(clone.noise_variances, spec.noise_variances)
-        np.testing.assert_array_equal(clone.intercept, spec.intercept)
-        assert clone.family == spec.family
-        assert clone.label == spec.label
-
-    def test_rejects_unknown_schema(self):
-        with pytest.raises(ConfigError):
-            spec_from_json('{"schema": "something-else"}')
