@@ -55,7 +55,6 @@ from .models import (
     SeededRng,
     build_case,
     intro_counterexample_spec,
-    noise_to_signal_norm,
     population_correlation,
     sample_data,
     table1_scenario,

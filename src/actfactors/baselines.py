@@ -56,6 +56,11 @@ def _check_r_max(r_max: int, upper: int, what: str) -> None:
         raise ConfigError(f"{what} needs 1 <= r_max <= {upper}, got {r_max}")
 
 
+def _tail_sums(lam: np.ndarray) -> np.ndarray:
+    """tail[k] = sum(lam[k:]) for k = 0..len(lam)-1, from one reversed cumsum."""
+    return np.cumsum(lam[::-1])[::-1]
+
+
 def er_estimate(spec: Spectrum, r_max: int) -> int:
     """argmax_{1<=i<=r_max} lambda_i / lambda_{i+1}; zero denominators count
     as +inf, so the first of them wins."""
@@ -72,9 +77,8 @@ def gr_estimate(spec: Spectrum, r_max: int) -> int:
     """argmax_{1<=i<=r_max} log(V_{i-1}/V_i) / log(V_i/V_{i+1}) with
     V_i = sum_{j>i} lambda_j."""
     _check_r_max(r_max, spec.p - 2, "growth ratio")
-    lam = spec.eigenvalues
     # V[i] = sum of eigenvalues past index i, i = 0..r_max+1
-    v = np.array([lam[i:].sum() for i in range(r_max + 2)])
+    v = _tail_sums(spec.eigenvalues)[: r_max + 2]
     if v[r_max + 1] <= 0.0:
         raise NumericalDomain(f"tail sum V_{r_max + 1} must be positive")
     ratios = v[:-1] / v[1:]
@@ -127,8 +131,7 @@ def _bai_ng_argmin(
     mu: np.ndarray, n: int, p: int, family: str, g: float, r_max: int
 ) -> int:
     m = min(n, p)
-    tail = np.concatenate([np.cumsum(mu[:m][::-1])[::-1], [0.0]])  # tail[k] = sum mu[k:m]
-    v = tail[: r_max + 1] / p
+    v = _tail_sums(mu[:m])[: r_max + 1] / p
     k = np.arange(r_max + 1)
     if family == "PC":
         sigma2 = v[r_max]

@@ -51,7 +51,7 @@ def estimate_report(
     methods = canonical_methods(methods, ed_threshold)
     if basis not in (None, "cov", "corr"):
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
-    r_max = r_max or default_r_max(p, n)
+    r_max = default_r_max(p, n) if r_max is None else r_max
     check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     # the checked p x p composition, not spectra(): its eigenvalues are the
     # ones earlier reports published, bit for bit, at every p

@@ -24,9 +24,9 @@ class DimensionError(DataError):
 class ZeroVarianceSeries(DataError):
     """A series has (numerically) zero variance and cannot be standardized."""
 
-    def __init__(self, column: int, message: str | None = None):
+    def __init__(self, column: int):
         self.column = column  # 1-based
-        super().__init__(message or f"series in column {column} has zero variance")
+        super().__init__(f"series in column {column} has zero variance")
 
 
 class ParseError(DataError):

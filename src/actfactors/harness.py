@@ -143,7 +143,7 @@ class ExperimentConfig:
             if p < self.k_true + 2:
                 raise ConfigError(f"need p >= K+2, got p={p}, K={self.k_true}")
             for n in self.n_values:
-                r_max = self.r_max or default_r_max(p, n)
+                r_max = default_r_max(p, n) if self.r_max is None else self.r_max
                 check_method_options(self.methods, p, n, r_max, self.ed_threshold, self.on_r_min)
 
 
@@ -277,7 +277,7 @@ def _plans(config: ExperimentConfig) -> list[CellPlan]:
                             cell_seed=_cell_seed(config.master_seed, index),
                             replications=config.replications,
                             methods=config.methods,
-                            r_max=config.r_max or default_r_max(p, n),
+                            r_max=default_r_max(p, n) if config.r_max is None else config.r_max,
                             ed_threshold=config.ed_threshold,
                             on_r_min=config.on_r_min,
                             fresh_loadings=config.fresh_loadings,

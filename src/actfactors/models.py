@@ -25,7 +25,6 @@ __all__ = [
     "population_correlation",
     "table1_scenario",
     "intro_counterexample_spec",
-    "noise_to_signal_norm",
 ]
 
 
@@ -228,10 +227,3 @@ def intro_counterexample_spec(
     nu2[K] = float(nu2_extra)
     return _zeros_spec(b, nu2, "gaussian", "intro-counterexample")
 
-
-def noise_to_signal_norm(spec: FactorModelSpec) -> float:
-    """Operator norm of diag(Sigma)^{-1} Psi, the quantity that must stay
-    <= 1 for the population above-one count to equal the factor count.
-    Diagnostic only; Psi is diagonal here so this is a max of ratios."""
-    diag_sigma = np.sum(spec.loadings**2, axis=1) + spec.noise_variances
-    return float(np.max(spec.noise_variances / diag_sigma))

@@ -53,10 +53,10 @@ class PanelDataset:
 def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
     """Parse a rectangular CSV (header row, one observation per row).
 
-    Missing cells (empty/NA/NaN/null) drop the whole series when
-    drop_missing is set, otherwise raise. Ragged rows, non-numeric cells
-    and duplicate headers raise ParseError with the offending location
-    (1-based, header is row 1).
+    Missing cells (empty/NA/NaN/null, or any non-finite value such as inf)
+    drop the whole series when drop_missing is set, otherwise raise. Ragged
+    rows, non-numeric cells and duplicate headers raise ParseError with the
+    offending location (1-based, header is row 1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -74,7 +74,6 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
             seen[name] = idx
 
         rows: list[list[float]] = []
-        missing_cols: set[int] = set()
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -84,46 +83,35 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
                 )
             parsed = []
             for col_no, cell in enumerate(row, start=1):
-                text = cell.strip()
-                if text.lower() in _MISSING_TOKENS:
-                    missing_cols.add(col_no - 1)
-                    parsed.append(np.nan)
-                    continue
                 try:
-                    value = float(text)
+                    parsed.append(float(cell))
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell {cell!r} at row {row_no}, "
-                        f"column {col_no} ({names[col_no - 1]})"
-                    ) from None
-                if not np.isfinite(value):
-                    missing_cols.add(col_no - 1)
-                    value = np.nan
-                parsed.append(value)
+                    # str.strip() also removes \x1c-\x1f, which float() keeps
+                    text = cell.strip()
+                    try:
+                        parsed.append(np.nan if text.lower() in _MISSING_TOKENS else float(text))
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric cell {cell!r} at row {row_no}, "
+                            f"column {col_no} ({names[col_no - 1]})"
+                        ) from None
             rows.append(parsed)
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=float)
-    log: list[dict] = []
-    if missing_cols:
-        if not drop_missing:
-            col = sorted(missing_cols)[0]
-            raise DataError(
-                f"{path}: series {names[col]!r} has missing observations "
-                "(pass drop-missing mode to remove such series)"
-            )
-        keep = [j for j in range(len(names)) if j not in missing_cols]
-        for j in sorted(missing_cols):
-            log.append(
-                {
-                    "series": names[j],
-                    "action": "dropped-missing",
-                    "missing": int(np.count_nonzero(~np.isfinite(values[:, j]))),
-                }
-            )
-        values = values[:, keep]
-        names = [names[j] for j in keep]
+    # missing means non-finite after parsing: NA tokens, nan and inf alike
+    missing = np.count_nonzero(~np.isfinite(values), axis=0)
+    dropped = np.flatnonzero(missing)
+    if dropped.size and not drop_missing:
+        raise DataError(
+            f"{path}: series {names[dropped[0]]!r} has missing observations "
+            "(pass drop-missing mode to remove such series)"
+        )
+    log = [{"series": names[j], "action": "dropped-missing", "missing": int(missing[j])} for j in dropped]
+    if dropped.size:
+        values = values[:, missing == 0]
+        names = [name for name, m in zip(names, missing) if m == 0]
     if values.shape[1] < 2:
         raise DataError(f"{path}: fewer than 2 usable series after ingestion")
     if values.shape[0] < 3:
@@ -146,7 +134,7 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
     if n < 4:
         raise DataError(f"outlier cleaning needs at least 4 observations, got {n}")
     log = list(ds.cleaning_log)
-    drop_rows: set[int] = set()
+    drop = np.zeros(n, dtype=bool)
     # per column, interpolating linearly between order statistics
     quartiles = np.percentile(values, [25.0, 75.0], axis=0)
     for j in range(p):
@@ -172,10 +160,9 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
         if policy == "median":
             values[mask, j] = med
         else:
-            drop_rows.update(np.flatnonzero(mask).tolist())
-    if policy == "drop" and drop_rows:
-        keep = [i for i in range(n) if i not in drop_rows]
-        if len(keep) < 3:
+            drop |= mask
+    if drop.any():
+        if n - np.count_nonzero(drop) < 3:
             raise DataError("outlier row removal left fewer than 3 observations")
-        values = values[keep, :]
+        values = values[~drop]
     return PanelDataset(ds.names, DataMatrix(values), tuple(log))

@@ -156,6 +156,7 @@ class TestExitCodes:
             ["--methods", "PC1", "--r-max", "120"],
             ["--methods", "ON", "--on-r-min", "10"],
             ["--methods", "ED", "--ed-threshold", "0"],
+            ["--r-max", "0"],
         ],
     )
     def test_estimate_option_out_of_range_is_2(self, factor_panel_csv, args, capsys):
@@ -169,6 +170,7 @@ class TestExitCodes:
             ["--r-max", "40"],
             ["--on-r-min", "20"],
             ["--methods", "ED", "--ed-threshold", "-1"],
+            ["--r-max", "0"],
         ],
     )
     def test_simulate_option_out_of_range_is_2(self, args, capsys):

@@ -7,7 +7,6 @@ from actfactors.models import (
     SeededRng,
     build_case,
     intro_counterexample_spec,
-    noise_to_signal_norm,
     population_correlation,
     sample_data,
     table1_scenario,
@@ -117,11 +116,6 @@ class TestPopulationCorrelation:
         spec = build_case(4, 17, 5, SeededRng(10))
         w = eigenvalues_desc(population_correlation(spec)).eigenvalues
         assert w.sum() == pytest.approx(17.0, abs=1e-10)
-
-    def test_noise_to_signal_norm_cases(self):
-        for case in (1, 2, 3, 4):
-            spec = build_case(case, 40, 5, SeededRng(30 + case))
-            assert noise_to_signal_norm(spec) <= 1.0
 
 
 class TestTable1Scenario:

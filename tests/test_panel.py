@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from actfactors.errors import DataError, ParseError
 from actfactors.panel import clean_outliers, ingest_csv
@@ -54,6 +57,154 @@ class TestIngest:
             ingest_csv(path)
 
 
+def _oracle_ingest(path, drop_missing=False):
+    """The earlier per-cell loop: strip, missing-token lookup, float() and a
+    finiteness check on every cell, with a set of missing columns."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: file is empty") from None
+        names = [h.strip() for h in header]
+        seen = {}
+        for idx, name in enumerate(names, start=1):
+            if name in seen:
+                raise ParseError(
+                    f"{path}: duplicate header {name!r} at columns {seen[name]} and {idx}"
+                )
+            seen[name] = idx
+
+        rows = []
+        missing_cols = set()
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ParseError(
+                    f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
+                )
+            parsed = []
+            for col_no, cell in enumerate(row, start=1):
+                text = cell.strip()
+                if text.lower() in {"", "na", "nan", "null"}:
+                    missing_cols.add(col_no - 1)
+                    parsed.append(np.nan)
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric cell {cell!r} at row {row_no}, "
+                        f"column {col_no} ({names[col_no - 1]})"
+                    ) from None
+                if not np.isfinite(value):
+                    missing_cols.add(col_no - 1)
+                    value = np.nan
+                parsed.append(value)
+            rows.append(parsed)
+
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    values = np.asarray(rows, dtype=float)
+    log = []
+    if missing_cols:
+        if not drop_missing:
+            col = sorted(missing_cols)[0]
+            raise DataError(
+                f"{path}: series {names[col]!r} has missing observations "
+                "(pass drop-missing mode to remove such series)"
+            )
+        keep = [j for j in range(len(names)) if j not in missing_cols]
+        for j in sorted(missing_cols):
+            log.append(
+                {
+                    "series": names[j],
+                    "action": "dropped-missing",
+                    "missing": int(np.count_nonzero(~np.isfinite(values[:, j]))),
+                }
+            )
+        values = values[:, keep]
+        names = [names[j] for j in keep]
+    if values.shape[1] < 2:
+        raise DataError(f"{path}: fewer than 2 usable series after ingestion")
+    if values.shape[0] < 3:
+        raise DataError(f"{path}: fewer than 3 observations")
+    return PanelDataset(tuple(names), DataMatrix(values), tuple(log))
+
+
+def _outcome(fn, path, drop_missing):
+    try:
+        ds = fn(path, drop_missing=drop_missing)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    values = ds.data.values
+    return ("parsed", ds.names, values.shape, values.tobytes(), ds.cleaning_log)
+
+
+# str.isspace() characters float() strips, and \x1c-\x1f, which only str.strip() does
+_PAD = st.one_of(
+    st.just(""), st.just(""), st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003\u3000"), max_size=2)
+)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.3e}"),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:+.2f}"),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1_000", "-2_5.0_1", "+.5", "5.", "1E-3", "-0", "1e400"]),
+)
+_MISSING = st.sampled_from(["", "na", "nan", "null", "inf", "-infinity", "+nan"]).flatmap(
+    lambda token: st.lists(st.booleans(), min_size=len(token), max_size=len(token)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(token, upper))
+    )
+)
+_BAD = st.sampled_from(["oops", "0x10", "1__0", "--1", "1 2", "n/a", "_1"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly well-formed panels; each file may also carry missing or
+    non-finite cells, bad cells, duplicate headers, ragged or blank rows."""
+    p = draw(st.sampled_from([1] + [2, 3, 4, 5] * 3))
+    unique = draw(st.sampled_from([True] * 5 + [False]))
+    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=p, max_size=p, unique=unique))
+    lines = [",".join(draw(_PAD) + name + draw(_PAD) for name in names)]
+    kinds = ["number"] * 16 + ["missing"] * draw(st.sampled_from([0, 1])) + ["bad"] * draw(st.sampled_from([0] * 5 + [1]))
+    for _ in range(draw(st.sampled_from([0, 2] + [3, 4, 5, 6, 7, 8] * 3))):
+        shape = draw(st.sampled_from(["row"] * 20 + ["blank", "ragged"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        width = p + draw(st.sampled_from([-1, 1])) if shape == "ragged" else p
+        cells = []
+        for _ in range(width):
+            kind = draw(st.sampled_from(kinds))
+            core = draw({"number": _NUMBER, "missing": _MISSING, "bad": _BAD}[kind])
+            cells.append(draw(_PAD) + core + draw(_PAD))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestIngestMatchesCellLoop:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_texts())
+    def test_same_values_or_same_error(self, tmp_path, text):
+        path = tmp_path / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        for drop_missing in (False, True):
+            assert _outcome(ingest_csv, str(path), drop_missing) == _outcome(
+                _oracle_ingest, str(path), drop_missing
+            )
+
+    def test_separator_padding_parses(self, tmp_path):
+        # float() alone rejects "\x1c1"; the earlier loop stripped it first
+        path = write_csv(tmp_path, "a,b,c\n\x1c1,2,7\x1f\n3,4,8\n5, NA ,9\n")
+        ds = ingest_csv(path, drop_missing=True)
+        assert ds.names == ("a", "c")
+        np.testing.assert_array_equal(ds.data.values, [[1, 7], [3, 8], [5, 9]])
+        assert ds.cleaning_log == ({"series": "b", "action": "dropped-missing", "missing": 1},)
+
+
 class TestCleanOutliers:
     @staticmethod
     def spiked_panel():
@@ -78,6 +229,25 @@ class TestCleanOutliers:
         cleaned = clean_outliers(ds, policy="drop")
         assert cleaned.n == 99
         assert 500.0 not in cleaned.data.values
+
+    def test_drop_policy_matches_row_set(self):
+        # reference: the union of every column's outlier rows, removed at once
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((80, 8))
+        x[[3, 17, 17, 40, 79], [0, 1, 4, 4, 7]] = [400.0, -300.0, 500.0, 350.0, -450.0]
+        x[:, 2] = np.where(np.arange(80) == 60, 90.0, 1.0)  # zero IQR: skipped, row 61 kept
+        drop_rows = set()
+        for j in range(x.shape[1]):
+            q1, q3 = np.percentile(x[:, j], [25.0, 75.0])
+            if q3 > q1:
+                drop_rows.update(np.flatnonzero(np.abs(x[:, j] - x[:, j].mean()) > 10.0 * (q3 - q1)).tolist())
+        keep = [i for i in range(x.shape[0]) if i not in drop_rows]
+        names = tuple(f"s{j}" for j in range(x.shape[1]))
+        cleaned = clean_outliers(PanelDataset(names, DataMatrix(x)), policy="drop")
+        assert sorted(drop_rows) == [3, 17, 40, 79]
+        assert cleaned.data.values.tobytes() == x[keep, :].tobytes()
+        dropped = sorted({e["row"] - 1 for e in cleaned.cleaning_log if e["action"] == "dropped-row"})
+        assert dropped == sorted(drop_rows)
 
     def test_constant_series_untouched(self):
         x = np.column_stack([np.full(6, 7.0), np.arange(6.0)])
