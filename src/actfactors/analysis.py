@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ZeroVarianceSeries
-from .spectral import DataMatrix, Spectrum
+from .errors import ConfigError, DataError
+from .spectral import DataMatrix, Spectrum, standard_deviations
 
 __all__ = [
     "variance_explained",
@@ -43,11 +43,7 @@ def pc_scores(
         return np.empty((n, 0))
     z = arr - arr.mean(axis=0)
     if basis == "correlation":
-        sd = np.sqrt(np.sum(z**2, axis=0) / n)
-        dead = np.flatnonzero(sd <= 0.0)
-        if dead.size:
-            raise ZeroVarianceSeries(int(dead[0]) + 1)
-        z = z / sd
+        z /= standard_deviations(np.sum(z**2, axis=0) / n)
     m = z.T @ z / n
     w, v = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(w)[::-1][:k]

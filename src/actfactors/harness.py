@@ -189,13 +189,14 @@ def _run_replications(plan: CellPlan, rep_indices: range) -> dict:
         # loadings drawn once per cell from the reserved stream one past the last rep
         g = SeededRng(plan.cell_seed, plan.replications).generator()
         fixed_spec = build_case(plan.case_id, plan.p, plan.k_true, g, plan.family)
+    # every replication draws into this one buffer
+    panel = np.empty((plan.n, plan.p))
     for r in rep_indices:
         g = SeededRng(plan.cell_seed, r).generator()
         spec = fixed_spec if fixed_spec is not None else build_case(
             plan.case_id, plan.p, plan.k_true, g, plan.family
         )
-        X = sample_data(spec, plan.n, g)
-        cov_spec, corr_spec = spectra(X)
+        cov_spec, corr_spec = spectra(sample_data(spec, plan.n, g, out=panel))
         for tally, basis, estimate in estimators:
             m_spec = cov_spec if basis == "cov" else corr_spec
             try:

@@ -147,20 +147,46 @@ def build_case(
 
 
 def sample_data(
-    spec: FactorModelSpec, n: int, rng: SeededRng | np.random.Generator
+    spec: FactorModelSpec,
+    n: int,
+    rng: SeededRng | np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> DataMatrix:
-    """Draw n iid observations y_i = alpha + B f_i + eps_i."""
+    """Draw n iid observations y_i = alpha + B f_i + eps_i.
+
+    The noise is drawn straight into ``out`` (a writable, C-contiguous
+    float64 n x p array; a new one when None), scaled and shifted in place.
+    The returned DataMatrix wraps ``out``, so the next draw into ``out``
+    overwrites it. The values are those of ``alpha + B f + eps`` bit for
+    bit: each in-place step is the same IEEE operation with its operands
+    swapped.
+    """
     if n < 3:
         raise ConfigError(f"need n >= 3 observations, got {n}")
     g = _as_generator(rng)
     p, k = spec.p, spec.k
+    if out is None:
+        out = np.empty((n, p))
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == (n, p)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ConfigError(f"out must be a writable C-contiguous float64 array of shape ({n}, {p})")
     if spec.family == "gaussian":
         f = g.standard_normal((n, k))
-        eps = g.standard_normal((n, p)) * np.sqrt(spec.noise_variances)
+        g.standard_normal(out=out)
+        out *= np.sqrt(spec.noise_variances)
     else:
         f = g.uniform(0.0, 2.0 * np.sqrt(3.0), (n, k))
-        eps = g.uniform(0.0, 1.0, (n, p)) * (2.0 * np.sqrt(3.0 * spec.noise_variances))
-    return DataMatrix(spec.intercept + f @ spec.loadings.T + eps)
+        g.random(out=out)
+        out *= 2.0 * np.sqrt(3.0 * spec.noise_variances)
+    signal = f @ spec.loadings.T
+    signal += spec.intercept
+    out += signal
+    return DataMatrix(out)
 
 
 def population_correlation(spec: FactorModelSpec) -> np.ndarray:

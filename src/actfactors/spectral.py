@@ -1,7 +1,8 @@
 """Covariance/correlation construction, symmetric eigensolves, eigenvalue counts.
 
 The sample covariance uses divisor n (not n-1); the estimation threshold
-elsewhere uses n-1 separately. All functions are pure.
+elsewhere uses n-1 separately. All functions are pure except spectra,
+which consumes its panel when p > n (see there).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "spectra",
     "sample_covariance",
     "to_correlation",
+    "standard_deviations",
     "eigenvalues_desc",
     "kaiser_population_count",
     "naive_kaiser_estimate",
@@ -115,20 +117,21 @@ def _check_finite(arr: np.ndarray) -> None:
         raise DataError("covariance matrix contains non-finite entries")
 
 
-def _inverse_sd(d: np.ndarray) -> np.ndarray:
-    """1/sqrt(d) for the variances d; a non-finite variance is a DataError,
-    one below 1e-12 of the mean variance names its 1-based column."""
+def standard_deviations(d: np.ndarray) -> np.ndarray:
+    """sqrt(d) for the variances d; a non-finite variance is a DataError,
+    one below 1e-12 of the mean variance is a ZeroVarianceSeries naming its
+    1-based column. This is the package's one zero-variance rule."""
     _check_finite(d)
     bad = np.flatnonzero(d <= 1e-12 * d.mean())
     if bad.size:
         raise ZeroVarianceSeries(int(bad[0]) + 1)
-    return 1.0 / np.sqrt(d)
+    return np.sqrt(d)
 
 
 def to_correlation(M: np.ndarray) -> np.ndarray:
     """Rescale a covariance to unit diagonal: D^{-1/2} M D^{-1/2}, D = diag(M)."""
     arr = _as_matrix(M, "covariance matrix")
-    inv_sd = _inverse_sd(np.diag(arr))
+    inv_sd = 1.0 / standard_deviations(np.diag(arr))
     corr = arr * np.outer(inv_sd, inv_sd)
     # round-off can push |r| marginally past 1; clip and pin the diagonal
     np.clip(corr, -1.0, 1.0, out=corr)
@@ -147,6 +150,8 @@ def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {arr.shape}")
     scale = np.abs(arr).max() if arr.size else 0.0
+    if not np.isfinite(scale):
+        raise DataError("matrix contains non-finite entries")
     asym = np.abs(arr - arr.T).max() if arr.size else 0.0
     if asym > 1e-8 * max(scale, 1e-300):
         raise DataError(f"matrix is asymmetric beyond 1e-08 relative ({asym:g})")
@@ -161,22 +166,27 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     For p > n the centred panel Z has rank at most n - 1, so the p x p
     spectra are those of the n x n Gram matrices Z Z^T/n and Zs Zs^T/n
     (Zs: each column of Z divided by its standard deviation) padded with
-    p - n zeros; they agree with the p x p route to round-off.
+    p - n zeros; they agree with the p x p route to round-off. That route
+    consumes X: it centres and standardises X.values in place (so they must
+    be writable) instead of copying the panel, and X holds Zs afterwards.
     """
     n, p = X.n, X.p
     if p <= n:
         cov = sample_covariance(X)
         return _spectrum(cov, n, p), _spectrum(to_correlation(cov), n, p)
-    Z = X.values - X.values.mean(axis=0)
-    # finite data can still overflow in these products; the checks report it
+    Z = X.values
+    Z -= Z.mean(axis=0)
+    # finite data can still overflow in these products; the checks report it.
+    # Z @ Z.T is exactly symmetric (one triangle computed and mirrored), so
+    # unlike sample_covariance it needs no symmetrising pass.
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.einsum("ij,ij->j", Z, Z) / n
-        inv_sd = _inverse_sd(d)
-        G = Z @ Z.T / n
-        Zs = Z * inv_sd
-        Gs = Zs @ Zs.T / n
-        G = (G + G.T) / 2.0
-        Gs = (Gs + Gs.T) / 2.0
+        inv_sd = 1.0 / standard_deviations(d)
+        G = Z @ Z.T
+        G /= n
+        Z *= inv_sd
+        Gs = Z @ Z.T
+        Gs /= n
     _check_finite(G)
     _check_finite(Gs)
     return _spectrum(G, n, p), _spectrum(Gs, n, p)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actfactors.analysis import ols_r2, pc_scores, projection_distance, variance_explained
-from actfactors.errors import ConfigError, DataError
-from actfactors.spectral import Spectrum
+from actfactors.errors import ConfigError, DataError, ZeroVarianceSeries
+from actfactors.spectral import Spectrum, sample_covariance, to_correlation
 
 
 def spectrum(values, n=0):
@@ -62,6 +62,16 @@ class TestPcScores:
             scores1 = pc_scores(X, 3, basis)
             scores2 = pc_scores(-X, 3, basis)
             np.testing.assert_allclose(np.abs(scores1), np.abs(scores2), atol=1e-10)
+
+    def test_constant_column_is_zero_variance_on_both_paths(self):
+        # 0.1 does not centre to exact zeros; round-off must not be scaled up
+        X = np.random.default_rng(5).standard_normal((300, 6))
+        X[:, 2] = 0.1
+        with pytest.raises(ZeroVarianceSeries) as direct:
+            to_correlation(sample_covariance(X))
+        with pytest.raises(ZeroVarianceSeries) as scores:
+            pc_scores(X, 2, basis="correlation")
+        assert direct.value.column == scores.value.column == 3
 
     def test_k_bound(self):
         X = np.random.default_rng(4).standard_normal((5, 10))

@@ -4,16 +4,20 @@ import pytest
 
 from actfactors.errors import ConfigError
 from actfactors.harness import (
+    METHODS,
     ExperimentConfig,
     MethodTally,
     aggregate,
     render_table1_text,
     render_text_table,
+    run_cell,
     run_experiment,
     run_table1,
     _cell_seed,
     _plans,
 )
+from actfactors.models import SeededRng, build_case, sample_data
+from actfactors.spectral import spectra
 
 
 def small_config(**kw):
@@ -123,6 +127,32 @@ class TestDeterminism:
         serial = run_experiment(small_config(replications=10, workers=1))
         parallel = run_experiment(small_config(replications=10, workers=3))
         assert serial.cells == parallel.cells
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("p", [30, 90], ids=["p<n", "p>n"])
+    def test_shared_panel_matches_fresh_panels(self, p, family):
+        # the cell draws every replication into one buffer; each
+        # replication must still count its own panel
+        config = small_config(cases=(2,), p_values=(p,), families=(family,), methods=("ACT", "ER", "KAISER", "PC3"))
+        plan = _plans(config)[0]
+        fresh = []
+        for r in range(plan.replications):
+            g = SeededRng(plan.cell_seed, r).generator()
+            X = sample_data(build_case(plan.case_id, p, plan.k_true, g, family), plan.n, g)
+            cov_spec, corr_spec = spectra(X)
+            fresh.append({
+                m: METHODS[m][1](cov_spec if METHODS[m][0] == "cov" else corr_spec, plan.n, plan.r_max, None, 0)
+                for m in plan.methods
+            })
+        for m, t in run_cell(plan).tallies.items():
+            ks = [k[m] for k in fresh]
+            assert (t.true_count, t.over_count, t.under_count, t.failed_count, t.khat_sum) == (
+                ks.count(plan.k_true),
+                sum(k > plan.k_true for k in ks),
+                sum(k < plan.k_true for k in ks),
+                0,
+                sum(ks),
+            )
 
     def test_master_seed_changes_results(self):
         a = run_experiment(small_config(master_seed=5, cases=(2,), replications=6))

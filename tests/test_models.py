@@ -81,6 +81,45 @@ class TestSampleData:
         band = 5.0 * sd / np.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0) - expected) < band)
 
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_in_place_draw_matches_expression(self, family):
+        # oracle: the sized draws summed as alpha + B f + eps in one expression
+        g = SeededRng(31).generator()
+        n, p, k = 40, 25, 3
+        spec = FactorModelSpec(
+            g.standard_normal((p, k)), g.uniform(0.1, 9.0, p), g.uniform(-5.0, 5.0, p), family=family
+        )
+        o = SeededRng(32).generator()
+        if family == "gaussian":
+            f = o.standard_normal((n, k))
+            eps = o.standard_normal((n, p)) * np.sqrt(spec.noise_variances)
+        else:
+            f = o.uniform(0.0, 2.0 * np.sqrt(3.0), (n, k))
+            eps = o.uniform(0.0, 1.0, (n, p)) * (2.0 * np.sqrt(3.0 * spec.noise_variances))
+        expected = (spec.intercept + f @ spec.loadings.T + eps).tobytes()
+        assert sample_data(spec, n, SeededRng(32)).values.tobytes() == expected
+        out = np.full((n, p), np.nan)
+        X = sample_data(spec, n, SeededRng(32), out=out)
+        assert X.values is out
+        assert out.tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((10, 4)),
+            np.empty((10, 5), dtype=np.float32),
+            np.empty((10, 5), order="F"),
+            np.empty((10, 10))[:, ::2],
+            np.empty((10, 5)).tolist(),
+            np.broadcast_to(0.0, (10, 5)),
+        ],
+        ids=["shape", "float32", "fortran", "strided", "list", "read-only"],
+    )
+    def test_bad_out_is_config_error(self, out):
+        spec = build_case(2, 5, 2, SeededRng(0))
+        with pytest.raises(ConfigError, match="out must be"):
+            sample_data(spec, 10, SeededRng(1), out=out)
+
     def test_uniform_factor_variance_is_one(self):
         spec = FactorModelSpec(
             np.array([[1.0], [0.0], [0.0]]), np.full(3, 1e-6), np.zeros(3), family="uniform"

@@ -16,6 +16,7 @@ from actfactors.spectral import (
     sample_covariance,
     spectra,
     to_correlation,
+    _spectrum,
 )
 
 panel_shapes = st.tuples(st.integers(3, 40), st.integers(2, 60))
@@ -100,6 +101,15 @@ class TestEigenvaluesDesc:
         with pytest.raises(DataError):
             eigenvalues_desc(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix", [[[np.nan, 0.0], [0.0, 1.0]], [[2.0, np.inf], [np.inf, 1.0]]], ids=["nan", "inf"]
+    )
+    def test_nonfinite_rejected(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite"):
+                eigenvalues_desc(np.array(matrix))
+
     def test_rank_deficient_zero_count(self):
         # n-1 < p: at least p - n + 1 exact zeros after snapping
         rng = np.random.default_rng(3)
@@ -146,7 +156,8 @@ class TestSpectra:
     def test_gram_route_matches_composition(self, shape, seed):
         X = self.panel(shape, seed)
         n, p = shape
-        gram, square = spectra(X), self.composition(X)
+        square = self.composition(X)
+        gram = spectra(X)
         for a, b in zip(gram, square):
             assert a.n == n and a.p == p
             np.testing.assert_array_equal(a.eigenvalues == 0.0, b.eigenvalues == 0.0)
@@ -164,6 +175,44 @@ class TestSpectra:
         assert outcomes(*gram) == outcomes(*square)
 
     @settings(max_examples=60, deadline=None)
+    @given(shape=large_p_shapes, seed=st.integers(0, 10_000))
+    def test_gram_route_matches_symmetrised_oracle(self, shape, seed):
+        # oracle: the Gram route on copies, with a (G + G.T) / 2 pass
+        X = self.panel(shape, seed)
+        n, p = shape
+        Z = X.values - X.values.mean(axis=0)
+        Zs = Z * (1.0 / np.sqrt(np.einsum("ij,ij->j", Z, Z) / n))
+        for spec, M in zip(spectra(X), (Z, Zs)):
+            G = M @ M.T / n
+            assert spec.eigenvalues.tobytes() == _spectrum((G + G.T) / 2.0, n, p).eigenvalues.tobytes()
+        # the route consumed the panel: it standardised it in place
+        assert X.values.tobytes() == Zs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=small_p_shapes, seed=st.integers(0, 10_000))
+    def test_square_route_leaves_panel(self, shape, seed):
+        X = self.panel(shape, seed)
+        original = X.values.tobytes()
+        spectra(X)
+        assert X.values.tobytes() == original
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.integers(1, 400),
+        layout=st.sampled_from(["C", "F", "rows"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_gram_is_exactly_symmetric(self, n, p, layout, seed):
+        # spectra's Gram route relies on this instead of a symmetrising pass
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((2 * n, p)) * rng.uniform(0.1, 1e3, p)
+        Z = Z[::2] if layout == "rows" else np.asarray(Z[:n], order=layout)
+        Z -= Z.mean(axis=0)
+        G = Z @ Z.T
+        np.testing.assert_array_equal(G, G.T)
+
+    @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 30), extra=st.integers(0, 30), seed=st.integers(0, 10_000))
     def test_exact_zeros_when_p_at_least_n(self, n, extra, seed):
         # centered data has rank at most n - 1, so p - n + 1 eigenvalues vanish
@@ -175,8 +224,8 @@ class TestSpectra:
     @given(shape=panel_shapes, seed=st.integers(0, 10_000))
     def test_column_permutation_invariance(self, shape, seed):
         X = self.panel(shape, seed)
-        perm = np.random.default_rng(seed + 1).permutation(X.p)
-        for a, b in zip(spectra(X), spectra(DataMatrix(X.values[:, perm]))):
+        permuted = DataMatrix(X.values[:, np.random.default_rng(seed + 1).permutation(X.p)])
+        for a, b in zip(spectra(X), spectra(permuted)):
             np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
