@@ -69,6 +69,7 @@ from .spectral import (
     naive_kaiser_estimate,
     sample_covariance,
     spectra,
+    square_spectra,
     to_correlation,
 )
 

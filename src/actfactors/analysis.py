@@ -41,11 +41,17 @@ def pc_scores(
         raise ConfigError(f"k={k} must lie in [0, min(n-1, p)={min(n - 1, p)}]")
     if k == 0:
         return np.empty((n, 0))
-    z = arr - arr.mean(axis=0)
-    if basis == "correlation":
-        z /= standard_deviations(np.sum(z**2, axis=0) / n)
-    m = z.T @ z / n
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    # finite data can still overflow in these products; the check reports it.
+    # z.T @ z is exactly symmetric, so it needs no symmetrising pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = arr - arr.mean(axis=0)
+        if basis == "correlation":
+            z /= standard_deviations(np.sum(z**2, axis=0) / n)
+        m = z.T @ z
+        m /= n
+    if not np.all(np.isfinite(m)):
+        raise DataError("covariance matrix contains non-finite entries")
+    w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1][:k]
     vk = v[:, order]
     for col in range(k):

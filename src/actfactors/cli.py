@@ -26,7 +26,7 @@ from .harness import (
     run_table1,
 )
 from .panel import PanelDataset, clean_outliers, ingest_csv
-from .spectral import eigenvalues_desc, sample_covariance, to_correlation
+from .spectral import eigenvalues_desc, sample_covariance, square_spectra, to_correlation
 
 __all__ = ["main", "estimate_report", "analyze_report"]
 
@@ -53,10 +53,9 @@ def estimate_report(
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
     r_max = default_r_max(p, n) if r_max is None else r_max
     check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
-    # the checked p x p composition, not spectra(): its eigenvalues are the
-    # ones earlier reports published, bit for bit, at every p
-    cov = sample_covariance(X)
-    cov_spec, corr_spec = eigenvalues_desc(cov, n), eigenvalues_desc(to_correlation(cov), n)
+    # the p x p route at every p, not spectra(): its eigenvalues are the ones
+    # earlier reports published, bit for bit
+    cov_spec, corr_spec = square_spectra(X)
     by_basis = {"cov": cov_spec, "corr": corr_spec}
     results = {}
     for m in methods:

@@ -73,7 +73,8 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
                 )
             seen[name] = idx
 
-        rows: list[list[float]] = []
+        # one float64 array per row, so the cells never live as Python floats
+        rows: list[np.ndarray] = []
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -95,11 +96,12 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
                             f"{path}: non-numeric cell {cell!r} at row {row_no}, "
                             f"column {col_no} ({names[col_no - 1]})"
                         ) from None
-            rows.append(parsed)
+            rows.append(np.array(parsed))
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
+    values = np.array(rows)
+    del rows  # free the row arrays before the steps below copy the panel
     # missing means non-finite after parsing: NA tokens, nan and inf alike
     missing = np.count_nonzero(~np.isfinite(values), axis=0)
     dropped = np.flatnonzero(missing)

@@ -17,6 +17,7 @@ __all__ = [
     "DataMatrix",
     "Spectrum",
     "spectra",
+    "square_spectra",
     "sample_covariance",
     "to_correlation",
     "standard_deviations",
@@ -104,10 +105,12 @@ def sample_covariance(X: DataMatrix | np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(arr)):
             raise DataError("data matrix contains non-finite entries")
     centered = arr - arr.mean(axis=0)
-    # finite data can still overflow in the Gram product; the check reports it
+    # finite data can still overflow in the Gram product; the check reports it.
+    # centered.T @ centered is exactly symmetric (one triangle computed and
+    # mirrored), so it needs no symmetrising pass.
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = centered.T @ centered / arr.shape[0]
-        cov = (cov + cov.T) / 2.0
+        cov = centered.T @ centered
+        cov /= arr.shape[0]
     _check_finite(cov)
     return cov
 
@@ -130,13 +133,19 @@ def standard_deviations(d: np.ndarray) -> np.ndarray:
 
 def to_correlation(M: np.ndarray) -> np.ndarray:
     """Rescale a covariance to unit diagonal: D^{-1/2} M D^{-1/2}, D = diag(M)."""
-    arr = _as_matrix(M, "covariance matrix")
-    inv_sd = 1.0 / standard_deviations(np.diag(arr))
-    corr = arr * np.outer(inv_sd, inv_sd)
-    # round-off can push |r| marginally past 1; clip and pin the diagonal
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
+    corr = _correlate_in_place(np.array(_as_matrix(M, "covariance matrix")))
+    # M may come from outside, so it is not trusted to be symmetric
     return (corr + corr.T) / 2.0
+
+
+def _correlate_in_place(M: np.ndarray) -> np.ndarray:
+    """Rescale the covariance M to unit diagonal in place and return it."""
+    inv_sd = 1.0 / standard_deviations(np.diag(M))
+    M *= np.outer(inv_sd, inv_sd)
+    # round-off can push |r| marginally past 1; clip and pin the diagonal
+    np.clip(M, -1.0, 1.0, out=M)
+    np.fill_diagonal(M, 1.0)
+    return M
 
 
 def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
@@ -161,19 +170,16 @@ def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
 def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, both tagged with X.n.
 
-    For p <= n: eigenvalues_desc on sample_covariance and to_correlation,
-    bit for bit, without re-checking the symmetric matrices built here.
-    For p > n the centred panel Z has rank at most n - 1, so the p x p
-    spectra are those of the n x n Gram matrices Z Z^T/n and Zs Zs^T/n
-    (Zs: each column of Z divided by its standard deviation) padded with
-    p - n zeros; they agree with the p x p route to round-off. That route
+    For p <= n: square_spectra(X). For p > n the centred panel Z has rank
+    at most n - 1, so the p x p spectra are those of the n x n Gram
+    matrices Z Z^T/n and Zs Zs^T/n (Zs: each column of Z divided by its
+    standard deviation) padded with p - n zeros; they agree with the p x p route to round-off. That route
     consumes X: it centres and standardises X.values in place (so they must
     be writable) instead of copying the panel, and X holds Zs afterwards.
     """
     n, p = X.n, X.p
     if p <= n:
-        cov = sample_covariance(X)
-        return _spectrum(cov, n, p), _spectrum(to_correlation(cov), n, p)
+        return square_spectra(X)
     Z = X.values
     Z -= Z.mean(axis=0)
     # finite data can still overflow in these products; the checks report it.
@@ -190,6 +196,24 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     _check_finite(G)
     _check_finite(Gs)
     return _spectrum(G, n, p), _spectrum(Gs, n, p)
+
+
+def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
+    """Covariance and correlation spectra of a panel through one p x p matrix.
+
+    Bit for bit eigenvalues_desc on sample_covariance and on to_correlation
+    of it, at every p, and X is left unchanged. The covariance is rescaled to
+    the correlation in place, and neither matrix is re-checked for symmetry:
+    both are exactly symmetric as built.
+    """
+    M = sample_covariance(X)
+    cov_spec = _spectrum(M, X.n, X.p)
+    _correlate_in_place(M)
+    # 1/sd overflows in the rescale for variances below ~1e-308; report it
+    # as eigenvalues_desc does rather than hand NaN to the eigensolver
+    if not np.all(np.isfinite(M)):
+        raise DataError("matrix contains non-finite entries")
+    return cov_spec, _spectrum(M, X.n, X.p)
 
 
 def _spectrum(arr: np.ndarray, n: int, p: int) -> Spectrum:

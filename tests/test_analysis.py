@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,29 @@ class TestPcScores:
         with pytest.raises(ZeroVarianceSeries) as scores:
             pc_scores(X, 2, basis="correlation")
         assert direct.value.column == scores.value.column == 3
+
+    @pytest.mark.parametrize("basis", ["covariance", "correlation"])
+    def test_overflow_is_a_data_error_without_warning(self, basis):
+        X = np.random.default_rng(6).standard_normal((20, 5)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^covariance matrix contains non-finite entries$"):
+                pc_scores(X, 2, basis=basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), basis=st.sampled_from(["covariance", "correlation"]))
+    def test_equal_to_symmetrised_eigh(self, seed, basis):
+        # oracle: the earlier body, which symmetrised z.T @ z / n before eigh
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((30, 8)) * rng.uniform(0.5, 5.0, 8) + rng.uniform(-3.0, 3.0, 8)
+        z = X - X.mean(axis=0)
+        if basis == "correlation":
+            z /= np.sqrt(np.sum(z**2, axis=0) / 30)
+        m = z.T @ z / 30
+        w, v = np.linalg.eigh((m + m.T) / 2.0)
+        vk = v[:, np.argsort(w)[::-1][:3]]
+        vk *= np.where(vk[np.argmax(np.abs(vk), axis=0), range(3)] < 0.0, -1.0, 1.0)
+        assert pc_scores(X, 3, basis).tobytes() == (z @ vk).tobytes()
 
     def test_k_bound(self):
         X = np.random.default_rng(4).standard_normal((5, 10))

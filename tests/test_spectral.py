@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from actfactors.act import default_r_max
 from actfactors.errors import ActFactorsError, DataError, DimensionError, ZeroVarianceSeries
@@ -15,6 +15,7 @@ from actfactors.spectral import (
     naive_kaiser_estimate,
     sample_covariance,
     spectra,
+    square_spectra,
     to_correlation,
     _spectrum,
 )
@@ -47,6 +48,18 @@ class TestSampleCovariance:
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
             sample_covariance(np.array([[0.0, np.nan], [1.0, 2.0]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), p=st.integers(1, 120), seed=st.integers(0, 10_000))
+    def test_exactly_symmetric_and_equal_to_symmetrised_expression(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((n, p)) * rng.uniform(0.1, 1e3, p) + rng.uniform(-5.0, 5.0, p)
+        cov = sample_covariance(arr)
+        np.testing.assert_array_equal(cov, cov.T)
+        # oracle: the earlier expression, with its symmetrising pass
+        centered = arr - arr.mean(axis=0)
+        old = centered.T @ centered / n
+        assert cov.tobytes() == ((old + old.T) / 2.0).tobytes()
 
 
 class TestToCorrelation:
@@ -250,6 +263,61 @@ class TestSpectra:
             with pytest.raises(DataError, match="non-finite") as exc:
                 spectra(DataMatrix(values))
         assert not isinstance(exc.value, ZeroVarianceSeries)
+
+
+def _outcome(call):
+    """What call returns, or the type and message of the ActFactorsError it raises."""
+    try:
+        return call()
+    except ActFactorsError as exc:
+        return type(exc), str(exc)
+
+
+class TestSquareSpectra:
+    panel = staticmethod(TestSpectra.panel)
+    composition = staticmethod(TestSpectra.composition)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(3, 40), st.integers(2, 120)), seed=st.integers(0, 10_000))
+    @example(shape=(3, 3), seed=0)
+    @example(shape=(40, 40), seed=1)
+    @example(shape=(40, 2), seed=2)
+    @example(shape=(3, 120), seed=3)
+    def test_bit_identical_to_public_composition(self, shape, seed):
+        X = self.panel(shape, seed)
+        original = X.values.tobytes()
+        got = square_spectra(X)
+        assert X.values.tobytes() == original
+        for a, b in zip(got, self.composition(X)):
+            assert (a.n, a.p) == (b.n, b.p) == shape
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 6), (6, 6), (4, 6)], ids=["p<n", "p=n", "p>n"])
+    @pytest.mark.parametrize("column", ["constant", "overflowing"])
+    def test_same_errors_as_composition(self, shape, column):
+        values = self.panel(shape, 11).values
+        if column == "constant":
+            values[:, 2] = 0.1
+        else:
+            values[:, 2] *= 1e200
+        X = DataMatrix(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: square_spectra(X))
+            want = _outcome(lambda: self.composition(X))
+        assert isinstance(got, tuple) and isinstance(got[0], type)
+        assert got == want
+        assert got[0] is (ZeroVarianceSeries if column == "constant" else DataError)
+
+    def test_overflowing_rescale_is_a_data_error(self):
+        # variances near 1e-320 pass the zero-variance rule, but 1/sd overflows
+        # in the rescale: the NaN correlation is refused, not handed to eigvalsh
+        X = self.panel((30, 50), 3)
+        X = DataMatrix((X.values - X.values.mean(axis=0)) * 1e-160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(lambda: square_spectra(X))
+            want = _outcome(lambda: self.composition(X))
+        assert got == want == (DataError, "matrix contains non-finite entries")
 
 
 class TestSpectrumInvariants:
