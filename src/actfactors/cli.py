@@ -53,8 +53,9 @@ def estimate_report(
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
     r_max = default_r_max(p, n) if r_max is None else r_max
     check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
-    # the p x p route at every p, not spectra(): its eigenvalues are the ones
-    # earlier reports published, bit for bit
+    # not spectra(): square_spectra's correlation eigenvalues, and with them
+    # the adjusted eigenvalues, are the ones earlier reports published, bit
+    # for bit; at p > n its covariance spectrum comes from the n x n Gram
     cov_spec, corr_spec = square_spectra(X)
     by_basis = {"cov": cov_spec, "corr": corr_spec}
     results = {}

@@ -138,17 +138,19 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
     log = list(ds.cleaning_log)
     drop = np.zeros(n, dtype=bool)
     # per column, interpolating linearly between order statistics
-    quartiles = np.percentile(values, [25.0, 75.0], axis=0)
-    for j in range(p):
+    q1, q3 = np.percentile(values, [25.0, 75.0], axis=0)
+    iqr = q3 - q1
+    # each mean sums one contiguous row of values.T, as x.mean() sums its column
+    dev = values - np.ascontiguousarray(values.T).mean(axis=1)
+    flagged = np.abs(dev, out=dev) > OUTLIER_IQR_MULTIPLE * iqr
+    del dev
+    for j in np.flatnonzero((iqr == 0.0) | flagged.any(axis=0)):
         x = values[:, j]
-        iqr = quartiles[1, j] - quartiles[0, j]
-        if iqr == 0.0:
+        if iqr[j] == 0.0:
             if np.ptp(x) > 0.0:
                 log.append({"series": ds.names[j], "action": "skipped-zero-iqr"})
             continue
-        mask = np.abs(x - x.mean()) > OUTLIER_IQR_MULTIPLE * iqr
-        if not mask.any():
-            continue
+        mask = flagged[:, j]
         med = float(np.median(x))
         for i in np.flatnonzero(mask):
             log.append(

@@ -105,14 +105,22 @@ def sample_covariance(X: DataMatrix | np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(arr)):
             raise DataError("data matrix contains non-finite entries")
     centered = arr - arr.mean(axis=0)
-    # finite data can still overflow in the Gram product; the check reports it.
-    # centered.T @ centered is exactly symmetric (one triangle computed and
-    # mirrored), so it needs no symmetrising pass.
+    return _gram(centered.T, arr.shape[0])
+
+
+def _gram(A: np.ndarray, n: int) -> np.ndarray:
+    """A @ A.T / n, refused with a DataError when it is not finite.
+
+    Finite data can still overflow in the product; it runs under
+    np.errstate so the check, not a numpy warning, reports it. A @ A.T is
+    exactly symmetric (one triangle computed and mirrored), so it needs no
+    symmetrising pass.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = centered.T @ centered
-        cov /= arr.shape[0]
-    _check_finite(cov)
-    return cov
+        G = A @ A.T
+        G /= n
+    _check_finite(G)
+    return G
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -141,7 +149,12 @@ def to_correlation(M: np.ndarray) -> np.ndarray:
 def _correlate_in_place(M: np.ndarray) -> np.ndarray:
     """Rescale the covariance M to unit diagonal in place and return it."""
     inv_sd = 1.0 / standard_deviations(np.diag(M))
-    M *= np.outer(inv_sd, inv_sd)
+    # for variances below ~1e-308 the outer product of 1/sd overflows; refuse
+    # the result before np.clip would turn an infinite entry into +-1
+    with np.errstate(over="ignore", invalid="ignore"):
+        M *= np.outer(inv_sd, inv_sd)
+    if not np.all(np.isfinite(M)):
+        raise DataError("matrix contains non-finite entries")
     # round-off can push |r| marginally past 1; clip and pin the diagonal
     np.clip(M, -1.0, 1.0, out=M)
     np.fill_diagonal(M, 1.0)
@@ -171,49 +184,52 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, both tagged with X.n.
 
     For p <= n: square_spectra(X). For p > n the centred panel Z has rank
-    at most n - 1, so the p x p spectra are those of the n x n Gram
+    at most n - 1, so both p x p spectra are those of the n x n Gram
     matrices Z Z^T/n and Zs Zs^T/n (Zs: each column of Z divided by its
-    standard deviation) padded with p - n zeros; they agree with the p x p route to round-off. That route
-    consumes X: it centres and standardises X.values in place (so they must
-    be writable) instead of copying the panel, and X holds Zs afterwards.
+    standard deviation) padded with p - n zeros. The covariance spectrum is
+    square_spectra's bit for bit; the correlation spectrum agrees with the
+    p x p route to round-off. That route consumes X: it centres and
+    standardises X.values in place (so they must be writable) instead of
+    copying the panel, and X holds Zs afterwards.
     """
     n, p = X.n, X.p
     if p <= n:
         return square_spectra(X)
     Z = X.values
     Z -= Z.mean(axis=0)
-    # finite data can still overflow in these products; the checks report it.
-    # Z @ Z.T is exactly symmetric (one triangle computed and mirrored), so
-    # unlike sample_covariance it needs no symmetrising pass.
+    # an overflowing variance is reported by standard_deviations; 1/sd and
+    # the standardised entries (|Zs| <= sqrt(n)) cannot overflow
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.einsum("ij,ij->j", Z, Z) / n
-        inv_sd = 1.0 / standard_deviations(d)
-        G = Z @ Z.T
-        G /= n
-        Z *= inv_sd
-        Gs = Z @ Z.T
-        Gs /= n
-    _check_finite(G)
-    _check_finite(Gs)
-    return _spectrum(G, n, p), _spectrum(Gs, n, p)
+    inv_sd = 1.0 / standard_deviations(d)
+    G = _gram(Z, n)
+    Z *= inv_sd
+    return _spectrum(G, n, p), _spectrum(_gram(Z, n), n, p)
 
 
 def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
-    """Covariance and correlation spectra of a panel through one p x p matrix.
+    """Covariance and correlation spectra of a panel, with the correlation
+    through one p x p matrix; X is left unchanged.
 
-    Bit for bit eigenvalues_desc on sample_covariance and on to_correlation
-    of it, at every p, and X is left unchanged. The covariance is rescaled to
-    the correlation in place, and neither matrix is re-checked for symmetry:
-    both are exactly symmetric as built.
+    The correlation spectrum is bit for bit eigenvalues_desc on
+    to_correlation of sample_covariance, at every p: the covariance is
+    rescaled to the correlation in place and, being exactly symmetric as
+    built, is not re-checked for symmetry. The covariance spectrum is that
+    composition's bit for bit when p <= n. When p > n it is taken from the
+    n x n Gram Z Z^T/n of the centred panel, padded with p - n exact zeros;
+    it agrees with the p x p eigensolve to round-off (about 1e-15 of the
+    top eigenvalue). G sums p terms per entry where the p x p matrix sums
+    n, so on data near the overflow limit it overflows slightly earlier,
+    with the same DataError.
     """
-    M = sample_covariance(X)
-    cov_spec = _spectrum(M, X.n, X.p)
-    _correlate_in_place(M)
-    # 1/sd overflows in the rescale for variances below ~1e-308; report it
-    # as eigenvalues_desc does rather than hand NaN to the eigensolver
-    if not np.all(np.isfinite(M)):
-        raise DataError("matrix contains non-finite entries")
-    return cov_spec, _spectrum(M, X.n, X.p)
+    n, p = X.n, X.p
+    Z = X.values - X.values.mean(axis=0)
+    M = _gram(Z.T, n)  # sample_covariance(X), bit for bit
+    cov = _gram(Z, n) if p > n else M
+    del Z  # free the centred copy before the eigensolves
+    cov_spec = _spectrum(cov, n, p)
+    del cov
+    return cov_spec, _spectrum(_correlate_in_place(M), n, p)
 
 
 def _spectrum(arr: np.ndarray, n: int, p: int) -> Spectrum:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import actfactors
-from actfactors.act import act_estimate, default_r_max
+from actfactors.act import act_estimate, adjust_eigenvalues, default_r_max
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import analyze_report, estimate_report, main
-from actfactors.errors import ConfigError, DegenerateGap
+from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
 from actfactors.harness import VALID_METHODS
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, ingest_csv
@@ -130,6 +130,33 @@ class TestMethodTable:
         report = estimate_report(ds, methods=(method,), ed_threshold=ED_THRESHOLD)
         assert report["methods"][method]["k"] == expected
 
+    @pytest.mark.parametrize("case_id", [1, 4])
+    def test_large_p_report_keeps_the_composition_correlation(self, case_id):
+        # p > n: the correlation side of the report is the p x p composition's
+        # bit for bit, as perfbench's traced replay requires; the covariance
+        # spectrum comes from the n x n Gram, so it moves only at round-off
+        # and every count stays the composition's
+        g = SeededRng(31).generator()
+        X = sample_data(build_case(case_id, 150, 3, g), 40, g)
+        n, p = X.n, X.p
+        report = estimate_report(
+            PanelDataset(tuple(f"s{i}" for i in range(p)), X), methods=VALID_METHODS, ed_threshold=ED_THRESHOLD
+        )
+        r_max = report["config"]["r_max"]
+        cov = sample_covariance(X)
+        cov_spec = eigenvalues_desc(cov, n)
+        corr_spec = eigenvalues_desc(to_correlation(cov), n)
+        assert report["eigenvalues"]["correlation_top"] == corr_spec.eigenvalues[:r_max].tolist()
+        assert report["adjusted_eigenvalues"] == adjust_eigenvalues(corr_spec, n, r_max).adjusted.tolist()
+        cov_top = np.array(report["eigenvalues"]["covariance_top"])
+        assert np.abs(cov_top - cov_spec.eigenvalues[:r_max]).max() <= 1e-12 * cov_spec.eigenvalues[0]
+        for method, oracle in ORACLES.items():
+            try:
+                expected = {"k": oracle(cov_spec, corr_spec, n, p, r_max)}
+            except ActFactorsError as exc:
+                expected = {"error": f"{type(exc).__name__}: {exc}"}
+            assert report["methods"][method] == expected, method
+
     def test_duplicate_method_rejected(self, factor_panel_csv):
         ds = ingest_csv(factor_panel_csv)
         with pytest.raises(ConfigError):
@@ -196,6 +223,20 @@ class TestExitCodes:
             captured = capfd.readouterr()
             assert captured.out == ""
             assert captured.err == "error: covariance matrix contains non-finite entries\n"
+
+    def test_rescale_overflow_is_3(self, tmp_path, capfd):
+        # a panel in units of about 1e-160: the variances pass the zero-variance
+        # rule, but the rescale to the correlation overflows. Both shapes exit 3
+        # with the error line alone; the 10 x 50 one used to pass np.clip and
+        # fail later on a garbled spectrum, after a numpy overflow warning
+        g = np.random.default_rng(3)
+        for n, p in ((30, 50), (10, 50)):
+            values = g.standard_normal((n, p))
+            path = write_panel_csv(tmp_path / f"tiny-{n}x{p}.csv", (values - values.mean(axis=0)) * 1e-160)
+            assert run_cli(["estimate", path], dict(os.environ)).returncode == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: matrix contains non-finite entries\n"
 
     def test_method_error_outside_data_errors_is_3(self, tmp_path, monkeypatch, capsys):
         def degenerate(*args, **kwargs):

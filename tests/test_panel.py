@@ -205,6 +205,91 @@ class TestIngestMatchesCellLoop:
         assert ds.cleaning_log == ({"series": "b", "action": "dropped-missing", "missing": 1},)
 
 
+def _oracle_clean_outliers(ds, policy="median"):
+    """The earlier body of clean_outliers: one mean and mask per column."""
+    if policy not in ("median", "drop"):
+        raise DataError(f"policy must be 'median' or 'drop', got {policy!r}")
+    values = ds.data.values.copy()
+    n, p = values.shape
+    if n < 4:
+        raise DataError(f"outlier cleaning needs at least 4 observations, got {n}")
+    log = list(ds.cleaning_log)
+    drop = np.zeros(n, dtype=bool)
+    # per column, interpolating linearly between order statistics
+    quartiles = np.percentile(values, [25.0, 75.0], axis=0)
+    for j in range(p):
+        x = values[:, j]
+        iqr = quartiles[1, j] - quartiles[0, j]
+        if iqr == 0.0:
+            if np.ptp(x) > 0.0:
+                log.append({"series": ds.names[j], "action": "skipped-zero-iqr"})
+            continue
+        mask = np.abs(x - x.mean()) > 10.0 * iqr
+        if not mask.any():
+            continue
+        med = float(np.median(x))
+        for i in np.flatnonzero(mask):
+            log.append(
+                {
+                    "series": ds.names[j],
+                    "row": int(i) + 1,
+                    "value": float(x[i]),
+                    "action": "replaced-median" if policy == "median" else "dropped-row",
+                }
+            )
+        if policy == "median":
+            values[mask, j] = med
+        else:
+            drop |= mask
+    if drop.any():
+        if n - np.count_nonzero(drop) < 3:
+            raise DataError("outlier row removal left fewer than 3 observations")
+        values = values[~drop]
+    return PanelDataset(ds.names, DataMatrix(values), tuple(log))
+
+
+@st.composite
+def _outlier_panels(draw):
+    """Noise columns with heavy tails, spikes, ties, constant and zero-IQR
+    columns, at shapes from barely cleanable to a few hundred cells."""
+    n = draw(st.integers(4, 60))
+    p = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    values = rng.standard_normal((n, p)) * rng.uniform(1e-3, 1e3, p) + rng.uniform(-50.0, 50.0, p)
+    for j in range(p):
+        kind = draw(st.sampled_from(["normal", "normal", "cauchy", "spiked", "ties", "constant", "zero-iqr"]))
+        if kind == "cauchy":
+            values[:, j] = rng.standard_cauchy(n)
+        elif kind == "spiked":
+            rows = rng.choice(n, size=draw(st.integers(1, max(1, n // 4))), replace=False)
+            values[rows, j] += rng.choice([-1.0, 1.0], rows.size) * rng.uniform(20.0, 1e4, rows.size) * values[:, j].std()
+        elif kind == "ties":
+            values[:, j] = np.round(rng.standard_cauchy(n) / 5.0)
+        elif kind == "constant":
+            values[:, j] = rng.uniform(-5.0, 5.0)
+        elif kind == "zero-iqr":
+            values[:, j] = 1.0
+            values[rng.choice(n, size=min(n // 5 + 1, n), replace=False), j] = rng.uniform(-100.0, 100.0)
+    return PanelDataset(tuple(f"s{j}" for j in range(p)), DataMatrix(values), ({"series": "x", "action": "earlier"},))
+
+
+def _cleaned(fn, ds, policy):
+    try:
+        out = fn(ds, policy)
+    except DataError as exc:
+        return ("raised", str(exc))
+    return (out.names, out.data.values.shape, out.data.values.tobytes(), out.cleaning_log)
+
+
+class TestCleanOutliersMatchesColumnLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(ds=_outlier_panels(), policy=st.sampled_from(["median", "drop"]))
+    def test_same_values_and_log(self, ds, policy):
+        before = ds.data.values.tobytes()
+        assert _cleaned(clean_outliers, ds, policy) == _cleaned(_oracle_clean_outliers, ds, policy)
+        assert ds.data.values.tobytes() == before
+
+
 class TestCleanOutliers:
     @staticmethod
     def spiked_panel():

@@ -143,6 +143,25 @@ class TestEigenvaluesDesc:
         assert abs(corr_spec.eigenvalues.sum() - p) <= 1e-8 * p
 
 
+def assert_matches_to_round_off(got, want):
+    """Same (n, p), same zero pattern, and |delta lambda| <= 1e-12 lambda_1."""
+    assert (got.n, got.p) == (want.n, want.p)
+    np.testing.assert_array_equal(got.eigenvalues == 0.0, want.eigenvalues == 0.0)
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * want.eigenvalues[0]
+
+
+def method_outcomes(cov_spec, corr_spec):
+    """Each METHODS entry's count on the two spectra, or its failure type."""
+    n, p = cov_spec.n, cov_spec.p
+    out = {}
+    for name, (basis, estimate) in METHODS.items():
+        try:
+            out[name] = estimate(cov_spec if basis == "cov" else corr_spec, n, default_r_max(p, n), 0.5, 0)
+        except ActFactorsError as exc:
+            out[name] = type(exc).__name__
+    return out
+
+
 class TestSpectra:
     @staticmethod
     def panel(shape, seed):
@@ -168,24 +187,11 @@ class TestSpectra:
     @given(shape=large_p_shapes, seed=st.integers(0, 10_000))
     def test_gram_route_matches_composition(self, shape, seed):
         X = self.panel(shape, seed)
-        n, p = shape
         square = self.composition(X)
         gram = spectra(X)
         for a, b in zip(gram, square):
-            assert a.n == n and a.p == p
-            np.testing.assert_array_equal(a.eigenvalues == 0.0, b.eigenvalues == 0.0)
-            assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12 * b.eigenvalues[0]
-
-        def outcomes(cov_spec, corr_spec):
-            out = {}
-            for name, (basis, estimate) in METHODS.items():
-                try:
-                    out[name] = estimate(cov_spec if basis == "cov" else corr_spec, n, default_r_max(p, n), 0.5, 0)
-                except ActFactorsError as exc:
-                    out[name] = type(exc).__name__
-            return out
-
-        assert outcomes(*gram) == outcomes(*square)
+            assert_matches_to_round_off(a, b)
+        assert method_outcomes(*gram) == method_outcomes(*square)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=large_p_shapes, seed=st.integers(0, 10_000))
@@ -284,13 +290,28 @@ class TestSquareSpectra:
     @example(shape=(40, 2), seed=2)
     @example(shape=(3, 120), seed=3)
     def test_bit_identical_to_public_composition(self, shape, seed):
+        # the correlation at every shape, the covariance at p <= n
         X = self.panel(shape, seed)
         original = X.values.tobytes()
         got = square_spectra(X)
         assert X.values.tobytes() == original
-        for a, b in zip(got, self.composition(X)):
+        first = 1 if X.p > X.n else 0  # the Gram covariance: see the next test
+        for a, b in list(zip(got, self.composition(X)))[first:]:
             assert (a.n, a.p) == (b.n, b.p) == shape
             assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=large_p_shapes, seed=st.integers(0, 10_000))
+    @example(shape=(3, 120), seed=3)
+    @example(shape=(40, 41), seed=4)
+    def test_gram_covariance_matches_composition(self, shape, seed):
+        # p > n: the covariance comes from the n x n Gram, as in spectra
+        X = self.panel(shape, seed)
+        got = square_spectra(X)
+        want = self.composition(X)
+        assert_matches_to_round_off(got[0], want[0])
+        assert method_outcomes(*got) == method_outcomes(*want)
+        assert got[0].eigenvalues.tobytes() == spectra(X)[0].eigenvalues.tobytes()
 
     @pytest.mark.parametrize("shape", [(40, 6), (6, 6), (4, 6)], ids=["p<n", "p=n", "p>n"])
     @pytest.mark.parametrize("column", ["constant", "overflowing"])
@@ -310,14 +331,18 @@ class TestSquareSpectra:
         assert got[0] is (ZeroVarianceSeries if column == "constant" else DataError)
 
     def test_overflowing_rescale_is_a_data_error(self):
-        # variances near 1e-320 pass the zero-variance rule, but 1/sd overflows
-        # in the rescale: the NaN correlation is refused, not handed to eigvalsh
-        X = self.panel((30, 50), 3)
-        X = DataMatrix((X.values - X.values.mean(axis=0)) * 1e-160)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = _outcome(lambda: square_spectra(X))
-            want = _outcome(lambda: self.composition(X))
-        assert got == want == (DataError, "matrix contains non-finite entries")
+        # variances near 1e-320 pass the zero-variance rule, but the outer
+        # product of 1/sd overflows in the rescale. The non-finite correlation
+        # is refused, without a numpy warning, before np.clip could turn its
+        # infinite entries into +-1 (which the 10 x 50 panel used to reach)
+        for shape in ((30, 50), (10, 50)):
+            X = self.panel(shape, 3)
+            X = DataMatrix((X.values - X.values.mean(axis=0)) * 1e-160)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(lambda: square_spectra(X))
+                want = _outcome(lambda: self.composition(X))  # fails in to_correlation
+            assert got == want == (DataError, "matrix contains non-finite entries"), shape
 
 
 class TestSpectrumInvariants:
