@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .spectral import DataMatrix, Spectrum, standard_deviations
+from .spectral import DataMatrix, Spectrum, sample_covariance, to_correlation
 
 __all__ = [
     "variance_explained",
@@ -31,8 +31,9 @@ def pc_scores(
     X: DataMatrix | np.ndarray, k: int, basis: str = "covariance"
 ) -> np.ndarray:
     """Project centered (and, for basis="correlation", standardized) data
-    onto the top-k eigenvectors. Sign convention: the largest-magnitude
-    loading of each component is positive."""
+    onto the top-k eigenvectors of sample_covariance(X), or of its
+    to_correlation: the matrix whose eigenvalues the reports print. Sign
+    convention: the largest-magnitude loading of each component is positive."""
     if basis not in ("covariance", "correlation"):
         raise ConfigError(f"basis must be 'covariance' or 'correlation', got {basis!r}")
     arr = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
@@ -41,16 +42,11 @@ def pc_scores(
         raise ConfigError(f"k={k} must lie in [0, min(n-1, p)={min(n - 1, p)}]")
     if k == 0:
         return np.empty((n, 0))
-    # finite data can still overflow in these products; the check reports it.
-    # z.T @ z is exactly symmetric, so it needs no symmetrising pass.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = arr - arr.mean(axis=0)
-        if basis == "correlation":
-            z /= standard_deviations(np.sum(z**2, axis=0) / n)
-        m = z.T @ z
-        m /= n
-    if not np.all(np.isfinite(m)):
-        raise DataError("covariance matrix contains non-finite entries")
+    cov = m = sample_covariance(arr)
+    z = arr - arr.mean(axis=0)
+    if basis == "correlation":
+        m = to_correlation(cov)  # raises on a zero variance before the division
+        z /= np.sqrt(np.diag(cov))
     w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1][:k]
     vk = v[:, order]

@@ -26,7 +26,7 @@ from .harness import (
     run_table1,
 )
 from .panel import PanelDataset, clean_outliers, ingest_csv
-from .spectral import eigenvalues_desc, sample_covariance, square_spectra, to_correlation
+from .spectral import square_spectra
 
 __all__ = ["main", "estimate_report", "analyze_report"]
 
@@ -102,12 +102,15 @@ def analyze_report(ds: PanelDataset, factors: PanelDataset, k: int | None = None
     observed factor on the top-k correlation PC scores, and the projector
     distance between the observed-factor span and the PC-score span."""
     X = ds.data
-    n = X.n
+    n, p = X.n, X.p
+    if k is not None and not 1 <= k <= min(n - 1, p):
+        raise ConfigError(f"k={k} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
     if factors.data.n != n:
         raise DataError(
             f"panel has {n} observations but factor series have {factors.data.n}"
         )
-    corr_spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
+    # estimate's spectra, so both subcommands report the same ACT count
+    _, corr_spec = square_spectra(X)
     act_k = act_estimate(corr_spec, n)
     use_k = k if k is not None else act_k
     if use_k < 1:
@@ -121,10 +124,10 @@ def analyze_report(ds: PanelDataset, factors: PanelDataset, k: int | None = None
     return {
         "schema": "actfactors/analysis-report/v1",
         "n": n,
-        "p": X.p,
+        "p": p,
         "act_k": act_k,
         "k": use_k,
-        "threshold": act_threshold(X.p, n),
+        "threshold": act_threshold(p, n),
         "variance_explained_k": variance_explained(corr_spec, use_k),
         "correlation_top": corr_spec.eigenvalues[: max(use_k + 5, 10)].tolist(),
         "r2_on_pc_factors": r2,

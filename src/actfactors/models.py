@@ -65,7 +65,6 @@ class FactorModelSpec:
     noise_variances: np.ndarray
     intercept: np.ndarray
     family: str = "gaussian"
-    label: str = ""
 
     def __post_init__(self):
         b = np.asarray(self.loadings, dtype=float)
@@ -97,10 +96,6 @@ class FactorModelSpec:
     @property
     def k(self) -> int:
         return self.loadings.shape[1]
-
-
-def _zeros_spec(b: np.ndarray, nu2: np.ndarray, family: str, label: str) -> FactorModelSpec:
-    return FactorModelSpec(b, nu2, np.zeros(b.shape[0]), family=family, label=label)
 
 
 def build_case(
@@ -143,7 +138,7 @@ def build_case(
         nu2 = g.uniform(0.0, 5.5, p)
     else:
         raise ConfigError(f"case id must be 1..4, got {case_id}")
-    return _zeros_spec(b, nu2, family, f"case{case_id}")
+    return FactorModelSpec(b, nu2, np.zeros(p), family)
 
 
 def sample_data(
@@ -191,11 +186,9 @@ def sample_data(
 
 def population_correlation(spec: FactorModelSpec) -> np.ndarray:
     """Correlation matrix of Sigma = B B^T + diag(nu2)."""
+    # B B^T is exactly symmetric; an overflow in it is reported by to_correlation
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = spec.loadings @ spec.loadings.T + np.diag(spec.noise_variances)
-        sigma = (sigma + sigma.T) / 2.0
-    if not np.all(np.isfinite(sigma)):
-        raise DataError("covariance matrix contains non-finite entries")
     return to_correlation(sigma)
 
 
@@ -221,7 +214,7 @@ def table1_scenario(
     b = g.uniform(-1.0, 1.0, (p, K))
     if scenario == 2:
         b[:, K - 1] = 0.0
-    return _zeros_spec(b, np.full(p, float(sigma2)), "gaussian", f"table1-s{scenario}")
+    return FactorModelSpec(b, np.full(p, float(sigma2)), np.zeros(p), "gaussian")
 
 
 def intro_counterexample_spec(
@@ -251,5 +244,5 @@ def intro_counterexample_spec(
         raise DataError("failed to draw a well-conditioned loading matrix")
     nu2 = np.ones(p)
     nu2[K] = float(nu2_extra)
-    return _zeros_spec(b, nu2, "gaussian", "intro-counterexample")
+    return FactorModelSpec(b, nu2, np.zeros(p), "gaussian")
 

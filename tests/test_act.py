@@ -1,8 +1,9 @@
+import functools
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from actfactors.act import (
     AdjustedSpectrum,
@@ -280,6 +281,38 @@ class TestThresholdAndSelect:
         spec_plain = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
         spec_scaled = eigenvalues_desc(to_correlation(sample_covariance(X * d)), n)
         assert act_estimate(spec_plain, n) == act_estimate(spec_scaled, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.integers(1, 4),
+        p=st.sampled_from([60, 150, 300]),
+        n=st.sampled_from([100, 200]),
+        seed=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_interior_near_tie_keeps_the_count(self, case, p, n, seed, data):
+        # lambda_j := lambda_{j+1} (1 + delta) for j below the count: ACT takes
+        # the last crossing, so a collapse of adjusted_j must not move it
+        lam = _simulated_correlation_spectrum(case, p, n, seed)
+        count = act_estimate(spectrum(lam, n=n), n)
+        assume(count >= 2)
+        j = data.draw(st.integers(1, count - 1), label="j")
+        delta = data.draw(st.just(0.0) | st.floats(1e-12, 1e-3), label="delta")
+        tied = lam.copy()
+        tied[j - 1] = lam[j] * (1.0 + delta)
+        assume(j == 1 or tied[j - 1] <= lam[j - 2])
+        assert act_estimate(spectrum(tied, n=n), n) == count
+
+
+@functools.lru_cache(maxsize=None)
+def _simulated_correlation_spectrum(case, p, n, seed):
+    from actfactors.models import SeededRng, build_case, sample_data
+    from actfactors.spectral import square_spectra
+
+    g = SeededRng(seed).generator()
+    spec = square_spectra(sample_data(build_case(case, p, 5, g), n, g))[1].eigenvalues
+    spec.flags.writeable = False
+    return spec
 
 
 class TestOracleAgreement:

@@ -83,20 +83,58 @@ class TestPcScores:
             with pytest.raises(DataError, match="^covariance matrix contains non-finite entries$"):
                 pc_scores(X, 2, basis=basis)
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), basis=st.sampled_from(["covariance", "correlation"]))
-    def test_equal_to_symmetrised_eigh(self, seed, basis):
-        # oracle: the earlier body, which symmetrised z.T @ z / n before eigh
+    @staticmethod
+    def _panel(seed):
         rng = np.random.default_rng(seed)
-        X = rng.standard_normal((30, 8)) * rng.uniform(0.5, 5.0, 8) + rng.uniform(-3.0, 3.0, 8)
+        return rng.standard_normal((30, 8)) * rng.uniform(0.5, 5.0, 8) + rng.uniform(-3.0, 3.0, 8)
+
+    @staticmethod
+    def _top_eigenvectors(m, k):
+        w, v = np.linalg.eigh(m)
+        vk = v[:, np.argsort(w)[::-1][:k]]
+        return vk * np.where(vk[np.argmax(np.abs(vk), axis=0), range(k)] < 0.0, -1.0, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_covariance_equal_to_symmetrised_eigh(self, seed):
+        # oracle: the earlier body, which symmetrised z.T @ z / n before eigh
+        X = self._panel(seed)
         z = X - X.mean(axis=0)
-        if basis == "correlation":
-            z /= np.sqrt(np.sum(z**2, axis=0) / 30)
         m = z.T @ z / 30
-        w, v = np.linalg.eigh((m + m.T) / 2.0)
-        vk = v[:, np.argsort(w)[::-1][:3]]
-        vk *= np.where(vk[np.argmax(np.abs(vk), axis=0), range(3)] < 0.0, -1.0, 1.0)
-        assert pc_scores(X, 3, basis).tobytes() == (z @ vk).tobytes()
+        vk = self._top_eigenvectors((m + m.T) / 2.0, 3)
+        assert pc_scores(X, 3, "covariance").tobytes() == (z @ vk).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_correlation_factorises_the_reported_matrix(self, seed):
+        # oracle: the centred data over sqrt(diag(cov)), times the top
+        # eigenvectors of to_correlation(sample_covariance(X)), bit for bit
+        X = self._panel(seed)
+        cov = sample_covariance(X)
+        zs = (X - X.mean(axis=0)) / np.sqrt(np.diag(cov))
+        vk = self._top_eigenvectors(to_correlation(cov), 3)
+        scores = pc_scores(X, 3, "correlation")
+        assert scores.tobytes() == (zs @ vk).tobytes()
+        # the earlier body standardised by sum(z**2)/n and took eigh of the
+        # symmetrised Gram; it differs only at round-off
+        z = X - X.mean(axis=0)
+        z /= np.sqrt(np.sum(z**2, axis=0) / 30)
+        m = z.T @ z / 30
+        old = z @ self._top_eigenvectors((m + m.T) / 2.0, 3)
+        np.testing.assert_allclose(scores, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
+
+    def test_non_finite_array_is_a_data_error(self):
+        X = np.random.default_rng(7).standard_normal((20, 5))
+        X[3, 1] = np.nan
+        with pytest.raises(DataError, match="^data matrix contains non-finite entries$"):
+            pc_scores(X, 2, basis="correlation")
+
+    def test_tiny_units_are_a_data_error(self):
+        # variances near 1e-320 pass the zero-variance rule, but the rescale
+        # to the correlation overflows; estimate and analyze refuse it alike
+        values = np.random.default_rng(3).standard_normal((30, 50))
+        with pytest.raises(DataError, match="^matrix contains non-finite entries$"):
+            pc_scores((values - values.mean(axis=0)) * 1e-160, 2, basis="correlation")
 
     def test_k_bound(self):
         X = np.random.default_rng(4).standard_normal((5, 10))

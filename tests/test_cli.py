@@ -330,6 +330,36 @@ class TestAnalyzeCommand:
         assert doc["k"] == 2
         assert doc["r2_on_pc_factors"]["f1"] > 0.0
 
+    @pytest.mark.parametrize("n, p", [(60, 20), (40, 40), (30, 90)])
+    def test_analyze_and_estimate_report_the_same_act_count(self, n, p):
+        g = SeededRng(59).generator()
+        X = sample_data(build_case(1, p, 3, g), n, g)
+        ds = PanelDataset(tuple(f"s{i}" for i in range(p)), X)
+        factors = PanelDataset(("f1", "f2"), DataMatrix(g.standard_normal((n, 2))))
+        analysis = analyze_report(ds, factors)
+        estimate = estimate_report(ds, methods=("ACT",))
+        top = analysis["correlation_top"]
+        assert top == estimate["eigenvalues"]["correlation_top"][: len(top)]
+        assert analysis["act_k"] == estimate["methods"]["ACT"]["k"] >= 1
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            # --k must lie in [1, min(n-1, p)] = [1, 6]; checked before any eigensolve
+            (["--k", "0"], 2, "k=0 must lie in [1, min(n-1, p)=6]"),
+            (["--k", "-1"], 2, "k=-1 must lie in [1, min(n-1, p)=6]"),
+            (["--k", "7"], 2, "k=7 must lie in [1, min(n-1, p)=6]"),
+            # pure noise: ACT selects no factor
+            ([], 3, "selected factor count k=0 is not positive"),
+        ],
+    )
+    def test_factor_count_errors(self, tmp_path, capsys, args, code, message):
+        g = SeededRng(60).generator()
+        panel_path = write_panel_csv(tmp_path / "p.csv", g.standard_normal((40, 6)))
+        factor_path = write_panel_csv(tmp_path / "f.csv", g.standard_normal((40, 2)))
+        assert main(["analyze", panel_path, "--factors", factor_path, *args]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_mismatched_rows_is_3(self, tmp_path):
         g = SeededRng(57).generator()
         panel_path = write_panel_csv(tmp_path / "p.csv", g.standard_normal((30, 5)))
