@@ -96,7 +96,7 @@ class TestPcScores:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_covariance_equal_to_symmetrised_eigh(self, seed):
+    def test_equal_to_symmetrised_eigh(self, seed):
         # oracle: the earlier body, which symmetrised z.T @ z / n before eigh
         X = self._panel(seed)
         z = X - X.mean(axis=0)
