@@ -56,17 +56,12 @@ class AdjustedSpectrum:
 
     adjusted: np.ndarray
     threshold: float
-    p: int
-    n: int
-    r_max: int
     jittered: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.adjusted, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] != self.r_max:
-            raise ConfigError("adjusted values must be a 1-d sequence of length r_max")
-        if self.r_max > self.p - 2:
-            raise ConfigError(f"r_max={self.r_max} must be <= p-2={self.p - 2}")
+        if arr.ndim != 1:
+            raise ConfigError("adjusted values must be a 1-d sequence")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ConfigError("adjusted eigenvalues must be finite and positive")
         object.__setattr__(self, "adjusted", arr)
@@ -183,7 +178,7 @@ def adjust_eigenvalues(spec: Spectrum, n: int, r_max: int | None = None) -> Adju
         _check_point(int(bad[0]) + 1, work, z[bad[0]])
     j = np.arange(1, r_max + 1)
     adjusted = -1.0 / _stieltjes(work, j, z, (p - j) / (n - 1))
-    return AdjustedSpectrum(adjusted, act_threshold(p, n), p, n, r_max, jittered=ties.size > 0)
+    return AdjustedSpectrum(adjusted, act_threshold(p, n), jittered=ties.size > 0)
 
 
 def act_select(adjusted: AdjustedSpectrum) -> int:

@@ -69,9 +69,10 @@ def ols_r2(y: np.ndarray, F: np.ndarray) -> float:
     if not k < n:
         raise ConfigError(f"need fewer regressors than observations, got k={k}, n={n}")
     design = np.column_stack([np.ones(n), F])
-    if np.linalg.matrix_rank(design) < k + 1:
+    # lstsq's rcond=None cut-off is matrix_rank's: eps * max(n, k+1) * s_1
+    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < k + 1:
         raise DataError("design matrix is rank deficient")
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:

@@ -147,32 +147,35 @@ def _emit(doc: str, out_path: str | None, stdout_text: str | None = None) -> Non
         print(stdout_text if stdout_text is not None else doc)
 
 
-def _add_common_method_args(sp) -> None:
-    sp.add_argument("--methods", nargs="+", default=list(DEFAULT_METHODS), metavar="M",
-                    help=f"methods to run (choices: {', '.join(VALID_METHODS)})")
-    sp.add_argument("--r-max", type=int, default=None, help="search bound (default min(p/2, (n-1)/2, 50))")
-    sp.add_argument("--ed-threshold", type=float, default=None,
-                    help="gap threshold for ED (required when ED is requested)")
-    sp.add_argument("--on-r-min", type=int, default=0, help="lower search bound for ON")
-    sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    methods = argparse.ArgumentParser(add_help=False)
+    methods.add_argument("--methods", nargs="+", default=list(DEFAULT_METHODS), metavar="M",
+                         help=f"methods to run (choices: {', '.join(VALID_METHODS)})")
+    methods.add_argument("--r-max", type=int, default=None, help="search bound (default min(p/2, (n-1)/2, 50))")
+    methods.add_argument("--ed-threshold", type=float, default=None,
+                         help="gap threshold for ED (required when ED is requested)")
+    methods.add_argument("--on-r-min", type=int, default=0, help="lower search bound for ON")
+    panel = argparse.ArgumentParser(add_help=False)
+    panel.add_argument("csv")
+    panel.add_argument("--clean", action="store_true", help="apply outlier cleaning first")
+    panel.add_argument("--clean-policy", choices=["median", "drop"], default="median")
+    panel.add_argument("--drop-missing", action="store_true",
+                       help="drop series containing missing observations")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
     ap = argparse.ArgumentParser(prog="actfactors",
                                  description="Factor-count estimation and Monte Carlo harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="estimate the number of factors in a CSV panel")
-    est.add_argument("csv")
-    _add_common_method_args(est)
+    est = sub.add_parser("estimate", parents=[panel, methods, out],
+                         help="estimate the number of factors in a CSV panel")
     est.add_argument("--basis", choices=["cov", "corr"], default=None,
                      help="force every method onto one spectrum (default: per-method convention)")
-    est.add_argument("--clean", action="store_true", help="apply outlier cleaning first")
-    est.add_argument("--clean-policy", choices=["median", "drop"], default="median")
-    est.add_argument("--drop-missing", action="store_true",
-                     help="drop series containing missing observations")
+    est.set_defaults(run=_cmd_estimate)
 
-    sim = sub.add_parser("simulate", help="run the replication harness on synthetic panels")
+    sim = sub.add_parser("simulate", parents=[methods, out],
+                         help="run the replication harness on synthetic panels")
     sim.add_argument("--case", type=int, choices=[1, 2, 3, 4], required=True, nargs="+")
     sim.add_argument("--p", type=int, nargs="+", required=True)
     sim.add_argument("--n", type=int, nargs="+", required=True)
@@ -184,32 +187,31 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="draw loadings once per cell instead of per replication")
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--text-table", action="store_true", help="print the aligned text table")
-    _add_common_method_args(sim)
+    sim.set_defaults(run=_cmd_simulate)
 
-    t1 = sub.add_parser("table1", help="population above-one eigenvalue counts per scenario")
+    t1 = sub.add_parser("table1", parents=[out], help="population above-one eigenvalue counts per scenario")
     t1.add_argument("--seeds", type=int, default=20)
     t1.add_argument("--seed", type=int, default=0, help="master seed")
     t1.add_argument("--text-table", action="store_true")
-    t1.add_argument("--out", default=None)
+    t1.set_defaults(run=_cmd_table1)
 
-    an = sub.add_parser("analyze", help="variance explained, factor regressions, subspace distance")
-    an.add_argument("csv")
+    an = sub.add_parser("analyze", parents=[panel, out],
+                        help="variance explained, factor regressions, subspace distance")
     an.add_argument("--factors", required=True, help="CSV of observed factor series")
     an.add_argument("--k", type=int, default=None,
                     help="number of PC factors (default: the adjusted-threshold estimate)")
-    an.add_argument("--clean", action="store_true")
-    an.add_argument("--clean-policy", choices=["median", "drop"], default="median")
-    an.add_argument("--drop-missing", action="store_true")
-    an.add_argument("--out", default=None)
+    an.set_defaults(run=_cmd_analyze)
     return ap
 
 
+def _panel(args, path) -> PanelDataset:
+    ds = ingest_csv(path, drop_missing=args.drop_missing)
+    return clean_outliers(ds, policy=args.clean_policy) if args.clean else ds
+
+
 def _cmd_estimate(args) -> None:
-    ds = ingest_csv(args.csv, drop_missing=args.drop_missing)
-    if args.clean:
-        ds = clean_outliers(ds, policy=args.clean_policy)
     report = estimate_report(
-        ds,
+        _panel(args, args.csv),
         methods=args.methods,
         r_max=args.r_max,
         ed_threshold=args.ed_threshold,
@@ -248,12 +250,7 @@ def _cmd_table1(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    ds = ingest_csv(args.csv, drop_missing=args.drop_missing)
-    factors = ingest_csv(args.factors, drop_missing=args.drop_missing)
-    if args.clean:
-        ds = clean_outliers(ds, policy=args.clean_policy)
-        factors = clean_outliers(factors, policy=args.clean_policy)
-    report = analyze_report(ds, factors, k=args.k)
+    report = analyze_report(_panel(args, args.csv), _panel(args, args.factors), k=args.k)
     _emit(json.dumps(report, indent=2), args.out)
 
 
@@ -263,14 +260,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    handlers = {
-        "estimate": _cmd_estimate,
-        "simulate": _cmd_simulate,
-        "table1": _cmd_table1,
-        "analyze": _cmd_analyze,
-    }
     try:
-        handlers[args.command](args)
+        args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ adjusted-threshold count and the above-one count.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -262,30 +263,24 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
 
 
 def _plans(config: ExperimentConfig) -> list[CellPlan]:
-    plans = []
-    index = 0
-    for case_id in config.cases:
-        for family in config.families:
-            for p in config.p_values:
-                for n in config.n_values:
-                    plans.append(
-                        CellPlan(
-                            case_id=case_id,
-                            family=family,
-                            p=p,
-                            n=n,
-                            k_true=config.k_true,
-                            cell_seed=_cell_seed(config.master_seed, index),
-                            replications=config.replications,
-                            methods=config.methods,
-                            r_max=default_r_max(p, n) if config.r_max is None else config.r_max,
-                            ed_threshold=config.ed_threshold,
-                            on_r_min=config.on_r_min,
-                            fresh_loadings=config.fresh_loadings,
-                        )
-                    )
-                    index += 1
-    return plans
+    grid = itertools.product(config.cases, config.families, config.p_values, config.n_values)
+    return [
+        CellPlan(
+            case_id=case_id,
+            family=family,
+            p=p,
+            n=n,
+            k_true=config.k_true,
+            cell_seed=_cell_seed(config.master_seed, index),
+            replications=config.replications,
+            methods=config.methods,
+            r_max=default_r_max(p, n) if config.r_max is None else config.r_max,
+            ed_threshold=config.ed_threshold,
+            on_r_min=config.on_r_min,
+            fresh_loadings=config.fresh_loadings,
+        )
+        for index, (case_id, family, p, n) in enumerate(grid)
+    ]
 
 
 @dataclass
@@ -361,6 +356,15 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     return aggregate(results, config)
 
 
+#: text-table rows: (label, per-method report field, format of a present value)
+_TABLE_ROWS = (
+    ("TRUE", "true_pct", ".1f"),
+    ("OVER", "over_pct", ".1f"),
+    ("UNDER", "under_pct", ".1f"),
+    ("AVE", "ave_k", ".2f"),
+)
+
+
 def render_text_table(report: ReplicationReport) -> str:
     """Aligned TRUE/OVER/UNDER/AVE rows per p, one column per method."""
     lines = []
@@ -377,24 +381,11 @@ def render_text_table(report: ReplicationReport) -> str:
         header = f"{'p':>6} {'':6}" + "".join(f"{m:>9}" for m in methods)
         lines.append(header)
         for cell in cells:
-            rows = {
-                "TRUE": lambda e: e["true_pct"],
-                "OVER": lambda e: e["over_pct"],
-                "UNDER": lambda e: e["under_pct"],
-                "AVE": lambda e: e["ave_k"],
-            }
-            for label, get in rows.items():
-                cols = []
-                for m in methods:
-                    val = get(cell["methods"][m])
-                    if val is None:
-                        cols.append(f"{'--':>9}")
-                    elif label == "AVE":
-                        cols.append(f"{val:>9.2f}")
-                    else:
-                        cols.append(f"{val:>9.1f}")
-                head = f"{cell['p']:>6}" if label == "TRUE" else f"{'':>6}"
-                lines.append(f"{head} {label:<6}" + "".join(cols))
+            for label, key, fmt in _TABLE_ROWS:
+                values = [cell["methods"][m][key] for m in methods]
+                cols = "".join(f"{'--':>9}" if v is None else f"{v:>9{fmt}}" for v in values)
+                head = cell["p"] if label == "TRUE" else ""
+                lines.append(f"{head:>6} {label:<6}{cols}")
         lines.append("")
     return "\n".join(lines)
 
@@ -411,26 +402,16 @@ def run_table1(
     if seeds < 1:
         raise ConfigError("need at least one seed")
     cells = []
-    index = 0
-    for scenario in (1, 2):
-        for K in k_values:
-            for p in p_values:
-                for sigma2 in sigma2_values:
-                    counts = []
-                    for s in range(seeds):
-                        rng = SeededRng(_cell_seed(master_seed, index), s)
-                        spec = table1_scenario(scenario, K, p, sigma2, rng)
-                        counts.append(kaiser_population_count(population_correlation(spec)))
-                    cells.append(
-                        {
-                            "scenario": scenario,
-                            "K": K,
-                            "p": p,
-                            "sigma2": sigma2,
-                            "counts": counts,
-                        }
-                    )
-                    index += 1
+    grid = itertools.product((1, 2), k_values, p_values, sigma2_values)
+    for index, (scenario, K, p, sigma2) in enumerate(grid):
+        cell_seed = _cell_seed(master_seed, index)
+        counts = [
+            kaiser_population_count(
+                population_correlation(table1_scenario(scenario, K, p, sigma2, SeededRng(cell_seed, s)))
+            )
+            for s in range(seeds)
+        ]
+        cells.append({"scenario": scenario, "K": K, "p": p, "sigma2": sigma2, "counts": counts})
     return {
         "schema": "actfactors/population-count-table/v1",
         "seeds": seeds,

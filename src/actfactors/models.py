@@ -1,8 +1,9 @@
 """Synthetic factor models: construction of loading matrices and noise
 profiles for the benchmark cases, and sampling of panels from them.
 
-Observations follow y = alpha + B f + eps with independent factors
-(unit variance) and independent noise with per-series variances nu2.
+Observations follow y = B f + eps with independent factors (unit
+variance) and independent noise with per-series variances nu2. There is
+no intercept: every statistic centres the panel first.
 Gaussian family: f ~ N(0,1), eps_j ~ N(0, nu2_j). Uniform family:
 f ~ U(0, 2*sqrt(3)), eps_j ~ U(0, 2*sqrt(3*nu2_j)) — same variances,
 nonzero means, which centering removes downstream.
@@ -57,19 +58,17 @@ def _as_generator(rng: SeededRng | np.random.Generator) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class FactorModelSpec:
-    """Loading matrix B (p x K), noise variances nu2 (> 0), intercept alpha,
-    and the population family. Rank deficiency of B is allowed (some
+    """Loading matrix B (p x K), noise variances nu2 (> 0) and the
+    population family. Rank deficiency of B is allowed (some
     scenarios are deliberately degenerate)."""
 
     loadings: np.ndarray
     noise_variances: np.ndarray
-    intercept: np.ndarray
     family: str = "gaussian"
 
     def __post_init__(self):
         b = np.asarray(self.loadings, dtype=float)
         nu2 = np.asarray(self.noise_variances, dtype=float)
-        alpha = np.asarray(self.intercept, dtype=float)
         if b.ndim != 2:
             raise ConfigError("loadings must be a p x K matrix")
         p, k = b.shape
@@ -79,15 +78,12 @@ class FactorModelSpec:
             raise ConfigError("need at least one factor column")
         if nu2.shape != (p,) or np.any(nu2 <= 0.0):
             raise ConfigError("noise variances must be length p and strictly positive")
-        if alpha.shape != (p,):
-            raise ConfigError("intercept must be length p")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(nu2)) and np.all(np.isfinite(alpha))):
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(nu2))):
             raise DataError("model spec contains non-finite values")
         if self.family not in ("gaussian", "uniform"):
             raise ConfigError(f"family must be 'gaussian' or 'uniform', got {self.family!r}")
         object.__setattr__(self, "loadings", b)
         object.__setattr__(self, "noise_variances", nu2)
-        object.__setattr__(self, "intercept", alpha)
 
     @property
     def p(self) -> int:
@@ -138,7 +134,7 @@ def build_case(
         nu2 = g.uniform(0.0, 5.5, p)
     else:
         raise ConfigError(f"case id must be 1..4, got {case_id}")
-    return FactorModelSpec(b, nu2, np.zeros(p), family)
+    return FactorModelSpec(b, nu2, family)
 
 
 def sample_data(
@@ -147,14 +143,13 @@ def sample_data(
     rng: SeededRng | np.random.Generator,
     out: np.ndarray | None = None,
 ) -> DataMatrix:
-    """Draw n iid observations y_i = alpha + B f_i + eps_i.
+    """Draw n iid observations y_i = B f_i + eps_i.
 
     The noise is drawn straight into ``out`` (a writable, C-contiguous
     float64 n x p array; a new one when None), scaled and shifted in place.
     The returned DataMatrix wraps ``out``, so the next draw into ``out``
-    overwrites it. The values are those of ``alpha + B f + eps`` bit for
-    bit: each in-place step is the same IEEE operation with its operands
-    swapped.
+    overwrites it. The values are those of ``B f + eps`` bit for bit: each
+    in-place step is the same IEEE operation with its operands swapped.
     """
     if n < 3:
         raise ConfigError(f"need n >= 3 observations, got {n}")
@@ -178,9 +173,7 @@ def sample_data(
         f = g.uniform(0.0, 2.0 * np.sqrt(3.0), (n, k))
         g.random(out=out)
         out *= 2.0 * np.sqrt(3.0 * spec.noise_variances)
-    signal = f @ spec.loadings.T
-    signal += spec.intercept
-    out += signal
+    out += f @ spec.loadings.T
     return DataMatrix(out)
 
 
@@ -214,7 +207,7 @@ def table1_scenario(
     b = g.uniform(-1.0, 1.0, (p, K))
     if scenario == 2:
         b[:, K - 1] = 0.0
-    return FactorModelSpec(b, np.full(p, float(sigma2)), np.zeros(p), "gaussian")
+    return FactorModelSpec(b, np.full(p, float(sigma2)), "gaussian")
 
 
 def intro_counterexample_spec(
@@ -244,5 +237,5 @@ def intro_counterexample_spec(
         raise DataError("failed to draw a well-conditioned loading matrix")
     nu2 = np.ones(p)
     nu2[K] = float(nu2_extra)
-    return FactorModelSpec(b, nu2, np.zeros(p), "gaussian")
+    return FactorModelSpec(b, nu2, "gaussian")
 

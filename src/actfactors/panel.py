@@ -50,16 +50,26 @@ class PanelDataset:
         return self.data.p
 
 
+def _rows(reader, path):
+    """The reader's rows, with undecodable bytes and csv errors as ParseError."""
+    try:
+        yield from reader
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
-    """Parse a rectangular CSV (header row, one observation per row).
+    """Parse a rectangular UTF-8 CSV (header row, one observation per row;
+    a leading byte-order mark is skipped).
 
     Missing cells (empty/NA/NaN/null, or any non-finite value such as inf)
     drop the whole series when drop_missing is set, otherwise raise. Ragged
     rows, non-numeric cells and duplicate headers raise ParseError with the
-    offending location (1-based, header is row 1).
+    offending location (1-based, header is row 1); so do bytes that are not
+    UTF-8 and rows the csv module rejects, without a row number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:

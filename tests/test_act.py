@@ -242,28 +242,22 @@ class TestThresholdAndSelect:
         assert act_threshold(p, p + 1) == pytest.approx(2.0, abs=1e-12)
 
     def test_direct_thresholding(self):
-        adj = AdjustedSpectrum(
-            np.array([5.0, 2.0, 1.4]), threshold=1.5, p=100, n=401, r_max=3
-        )
+        adj = AdjustedSpectrum(np.array([5.0, 2.0, 1.4]), threshold=1.5)
         assert act_select(adj) == 2
 
     def test_empty_set_is_zero(self):
-        adj = AdjustedSpectrum(
-            np.array([1.2, 1.1, 0.9]), threshold=1.5, p=100, n=401, r_max=3
-        )
+        adj = AdjustedSpectrum(np.array([1.2, 1.1, 0.9]), threshold=1.5)
         assert act_select(adj) == 0
 
     def test_max_not_first(self):
         # non-monotone adjusted values: the count is the largest index above
-        adj = AdjustedSpectrum(
-            np.array([5.0, 1.2, 1.8]), threshold=1.5, p=100, n=401, r_max=3
-        )
+        adj = AdjustedSpectrum(np.array([5.0, 1.2, 1.8]), threshold=1.5)
         assert act_select(adj) == 3
 
     def test_monotone_in_threshold(self):
         values = np.array([5.0, 2.0, 1.4, 1.1])
         counts = [
-            act_select(AdjustedSpectrum(values, threshold=s, p=50, n=200, r_max=4))
+            act_select(AdjustedSpectrum(values, threshold=s))
             for s in (1.0, 1.5, 1.9, 2.5, 6.0)
         ]
         assert counts == sorted(counts, reverse=True)
@@ -324,7 +318,7 @@ class TestOracleAgreement:
 
         p, n = 500, 300
         b = np.full((p, 1), 0.12)
-        spec = FactorModelSpec(b, np.ones(p), np.zeros(p))
+        spec = FactorModelSpec(b, np.ones(p))
         pop = eigenvalues_desc(population_correlation(spec)).eigenvalues
         errs = []
         for rep in range(30):

@@ -10,7 +10,7 @@ import pytest
 import actfactors
 from actfactors.act import act_estimate, adjust_eigenvalues, default_r_max
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
-from actfactors.cli import analyze_report, estimate_report, main
+from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
 from actfactors.harness import VALID_METHODS
 from actfactors.models import SeededRng, build_case, sample_data
@@ -210,6 +210,23 @@ class TestExitCodes:
         bad.write_text("a,b\n1,2\n3\n4,5\n")
         assert main(["estimate", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"caf\xe9,b\n1,2\n3,4\n5,6\n", b"a,b\n1,2\n3," + b"9" * 200_000 + b"\n5,6\n"],
+        ids=["latin-1-header", "oversized-cell"],
+    )
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_malformed_csv_bytes_are_3(self, factor_panel_csv, tmp_path, capsys, command, content):
+        # bytes that do not decode as UTF-8, or a cell past the csv module's
+        # field limit, end as one error line, not a traceback
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        args = ["estimate", str(bad)] if command == "estimate" else ["analyze", factor_panel_csv, "--factors", str(bad)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+
     def test_missing_file_is_3(self):
         assert main(["estimate", "/nonexistent/panel.csv"]) == 3
 
@@ -252,6 +269,46 @@ class TestExitCodes:
     def test_argparse_error_is_2(self, capsys):
         assert main(["simulate", "--case", "9", "--p", "20", "--n", "50"]) == 2
         capsys.readouterr()
+
+
+class TestParser:
+    """Each subcommand's flags: which subcommand takes them, their dests and
+    their defaults."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["estimate", "p.csv"],
+                {
+                    "command": "estimate", "csv": "p.csv", "clean": False, "clean_policy": "median",
+                    "drop_missing": False, "methods": ["ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER"],
+                    "r_max": None, "ed_threshold": None, "on_r_min": 0, "out": None, "basis": None,
+                },
+            ),
+            (
+                ["simulate", "--case", "1", "--p", "20", "--n", "50"],
+                {
+                    "command": "simulate", "case": [1], "p": [20], "n": [50], "k": 5, "reps": 1000,
+                    "seed": 0, "family": "gaussian", "fixed_loadings": False, "workers": 1,
+                    "text_table": False, "methods": ["ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER"],
+                    "r_max": None, "ed_threshold": None, "on_r_min": 0, "out": None,
+                },
+            ),
+            (["table1"], {"command": "table1", "seeds": 20, "seed": 0, "text_table": False, "out": None}),
+            (
+                ["analyze", "p.csv", "--factors", "f.csv"],
+                {
+                    "command": "analyze", "csv": "p.csv", "factors": "f.csv", "k": None, "clean": False,
+                    "clean_policy": "median", "drop_missing": False, "out": None,
+                },
+            ),
+        ],
+        ids=["estimate", "simulate", "table1", "analyze"],
+    )
+    def test_dests_and_defaults(self, argv, expected):
+        parsed = vars(_build_parser().parse_args(argv))
+        assert {k: v for k, v in parsed.items() if k != "run"} == expected
 
 
 class TestSimulateCommand:

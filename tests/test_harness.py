@@ -7,6 +7,7 @@ from actfactors.harness import (
     METHODS,
     ExperimentConfig,
     MethodTally,
+    ReplicationReport,
     aggregate,
     render_table1_text,
     render_text_table,
@@ -116,6 +117,20 @@ class TestRunCell:
                     assert abs(total - 100.0) <= 1e-9
 
 
+class TestPlans:
+    def test_grid_order_and_cell_seeds_match_nested_loops(self):
+        config = small_config(
+            cases=(2, 1), families=("uniform", "gaussian"), p_values=(40, 30), n_values=(60, 50), master_seed=11
+        )
+        expected = []
+        for case_id in config.cases:
+            for family in config.families:
+                for p in config.p_values:
+                    for n in config.n_values:
+                        expected.append((case_id, family, p, n, _cell_seed(11, len(expected))))
+        assert [(c.case_id, c.family, c.p, c.n, c.cell_seed) for c in _plans(config)] == expected
+
+
 class TestDeterminism:
     def test_bit_identical_reports(self):
         config = small_config(replications=10)
@@ -203,6 +218,31 @@ class TestReportShape:
         assert methods["ON"] == methods["ON2"]
         notes = report.config["seed_manifest"]["notes"]
         assert "r_min=0" not in notes and "shared r_min" in notes
+
+    def test_text_table_literal(self):
+        # shares print to 0.1, AVE to 0.01, and a method with no successful
+        # replication prints "--"; one header per (case, family, n)
+        def shares(true, over, under, ave):
+            return {"true_pct": true, "over_pct": over, "under_pct": under, "ave_k": ave}
+
+        head = {"case": 2, "family": "uniform", "n": 50, "k_true": 3, "replications": 3}
+        p20 = {"ACT": shares(200 / 3, 100 / 3, 0.0, 3.33), "ER": shares(None, None, None, None)}
+        p400 = {"ACT": shares(100.0, 0.0, 0.0, 3.0), "ER": shares(0.0, 0.0, 100.0, 1.67)}
+        report = ReplicationReport(
+            config={}, cells=[{**head, "p": 20, "methods": p20}, {**head, "p": 400, "methods": p400}]
+        )
+        assert render_text_table(report) == (
+            "Case 2, uniform population, n=50, K=3, R=3\n"
+            "     p             ACT       ER\n"
+            "    20 TRUE       66.7       --\n"
+            "       OVER       33.3       --\n"
+            "       UNDER       0.0       --\n"
+            "       AVE        3.33       --\n"
+            "   400 TRUE      100.0      0.0\n"
+            "       OVER        0.0      0.0\n"
+            "       UNDER       0.0    100.0\n"
+            "       AVE        3.00     1.67\n"
+        )
 
     def test_text_table_layout(self):
         report = run_experiment(small_config(replications=4))

@@ -64,31 +64,28 @@ class TestSampleData:
 
     @pytest.mark.parametrize("family", ["gaussian", "uniform"])
     def test_column_mean_bands(self, family):
-        # column means converge to alpha + B E[f] + E[eps]
+        # column means converge to B E[f] + E[eps]
         rng = SeededRng(21)
         p, K, n = 6, 2, 4000
         g = rng.generator()
         b = g.uniform(-1.0, 1.0, (p, K))
         nu2 = g.uniform(0.5, 2.0, p)
-        alpha = g.uniform(-3.0, 3.0, p)
-        spec = FactorModelSpec(b, nu2, alpha, family=family)
+        spec = FactorModelSpec(b, nu2, family=family)
         X = sample_data(spec, n, SeededRng(22)).values
         if family == "gaussian":
-            expected = alpha
+            expected = np.zeros(p)
         else:
-            expected = alpha + np.sqrt(3.0) * b.sum(axis=1) + np.sqrt(3.0 * nu2)
+            expected = np.sqrt(3.0) * b.sum(axis=1) + np.sqrt(3.0 * nu2)
         sd = np.sqrt(np.sum(b**2, axis=1) + nu2)
         band = 5.0 * sd / np.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0) - expected) < band)
 
     @pytest.mark.parametrize("family", ["gaussian", "uniform"])
     def test_in_place_draw_matches_expression(self, family):
-        # oracle: the sized draws summed as alpha + B f + eps in one expression
+        # oracle: the sized draws summed as B f + eps in one expression
         g = SeededRng(31).generator()
         n, p, k = 40, 25, 3
-        spec = FactorModelSpec(
-            g.standard_normal((p, k)), g.uniform(0.1, 9.0, p), g.uniform(-5.0, 5.0, p), family=family
-        )
+        spec = FactorModelSpec(g.standard_normal((p, k)), g.uniform(0.1, 9.0, p), family=family)
         o = SeededRng(32).generator()
         if family == "gaussian":
             f = o.standard_normal((n, k))
@@ -96,7 +93,7 @@ class TestSampleData:
         else:
             f = o.uniform(0.0, 2.0 * np.sqrt(3.0), (n, k))
             eps = o.uniform(0.0, 1.0, (n, p)) * (2.0 * np.sqrt(3.0 * spec.noise_variances))
-        expected = (spec.intercept + f @ spec.loadings.T + eps).tobytes()
+        expected = (f @ spec.loadings.T + eps).tobytes()
         assert sample_data(spec, n, SeededRng(32)).values.tobytes() == expected
         out = np.full((n, p), np.nan)
         X = sample_data(spec, n, SeededRng(32), out=out)
@@ -122,7 +119,7 @@ class TestSampleData:
 
     def test_uniform_factor_variance_is_one(self):
         spec = FactorModelSpec(
-            np.array([[1.0], [0.0], [0.0]]), np.full(3, 1e-6), np.zeros(3), family="uniform"
+            np.array([[1.0], [0.0], [0.0]]), np.full(3, 1e-6), family="uniform"
         )
         X = sample_data(spec, 20000, SeededRng(5)).values
         # column 1 is the factor plus negligible noise; Var(U(0, 2*sqrt(3))) = 1
@@ -131,23 +128,20 @@ class TestSampleData:
 
 class TestPopulationCorrelation:
     def test_pure_noise_is_identity(self):
-        spec = FactorModelSpec(
-            np.zeros((5, 1)), np.full(5, 2.0), np.zeros(5), family="gaussian"
-        )
+        spec = FactorModelSpec(np.zeros((5, 1)), np.full(5, 2.0), family="gaussian")
         np.testing.assert_allclose(population_correlation(spec), np.eye(5), atol=1e-14)
 
     def test_two_series_half_correlation(self):
         spec = FactorModelSpec(
             np.array([[1.0], [1.0], [0.0]]),
             np.array([1.0, 1.0, 1.0]),
-            np.zeros(3),
         )
         R = population_correlation(spec)
         assert R[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_overflowing_covariance_rejected(self):
         # finite loadings whose squares overflow
-        spec = FactorModelSpec(np.full((4, 1), 1e200), np.ones(4), np.zeros(4))
+        spec = FactorModelSpec(np.full((4, 1), 1e200), np.ones(4))
         with pytest.raises(DataError, match="covariance matrix contains non-finite entries"):
             population_correlation(spec)
 

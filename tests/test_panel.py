@@ -51,6 +51,12 @@ class TestIngest:
         with pytest.raises(ParseError, match="row 3, column 2"):
             ingest_csv(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n5,6\n")
+        assert ingest_csv(str(path)).names == ("a", "b")
+
     def test_too_few_rows(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n3,4\n")
         with pytest.raises(DataError):
