@@ -2,9 +2,12 @@
 
 Ingestion is strict: rectangular numeric CSV with a unique header row.
 Missing cells either fail fast or, in drop-missing mode, remove the whole
-series (logged). Outliers are observations more than ten interquartile
-ranges from the series mean; quartiles interpolate linearly between order
-statistics.
+series (logged). A body of unquoted numbers is one numpy C parse; the csv
+cell loop runs only for missing tokens, quoted cells and errors.
+
+Outliers are observations more than ten interquartile ranges from the
+series median, the FRED-MD rule (McCracken & Ng, 2016); the median and
+quartiles interpolate linearly between order statistics.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ __all__ = ["PanelDataset", "ingest_csv", "clean_outliers"]
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 
-#: outlier rule: |x - mean| > OUTLIER_IQR_MULTIPLE * (Q3 - Q1)
+#: outlier rule: |x - median| > OUTLIER_IQR_MULTIPLE * (Q3 - Q1); a centre
+#: the outliers cannot move, so one gross value flags only itself
 OUTLIER_IQR_MULTIPLE = 10.0
 
 
@@ -58,6 +62,54 @@ def _rows(reader, path):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _body_lines(fh):
+    """fh's remaining lines for np.loadtxt. A ValueError sends the file to the
+    cell loop: a line that may hold a cell past the csv module's field limit,
+    which the loop reports, or a body without data lines, where loadtxt
+    would only warn."""
+    limit = csv.field_size_limit()
+    data = False
+    for line in fh:
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            raise ValueError("a cell may pass the csv field limit")
+        data = data or line[:1] not in "\r\n"
+        yield line
+    if not data:
+        raise ValueError("no data lines")
+
+
+def _parse_cells(reader, names, path) -> np.ndarray:
+    """The cell loop: one float() per cell, missing tokens as nan, and errors
+    that name the offending row and column."""
+    # one float64 array per row, so the cells never live as Python floats
+    rows: list[np.ndarray] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(names):
+            raise ParseError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
+            )
+        parsed = []
+        for col_no, cell in enumerate(row, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                # str.strip() also removes \x1c-\x1f, which float() keeps
+                text = cell.strip()
+                try:
+                    parsed.append(np.nan if text.lower() in _MISSING_TOKENS else float(text))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric cell {cell!r} at row {row_no}, "
+                        f"column {col_no} ({names[col_no - 1]})"
+                    ) from None
+        rows.append(np.array(parsed))
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(rows)
+
+
 def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
     """Parse a rectangular UTF-8 CSV (header row, one observation per row;
     a leading byte-order mark is skipped).
@@ -67,6 +119,9 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
     rows, non-numeric cells and duplicate headers raise ParseError with the
     offending location (1-based, header is row 1); so do bytes that are not
     UTF-8 and rows the csv module rejects, without a row number.
+
+    A body of unquoted numbers is one np.loadtxt call. Any other body (a
+    missing token, a quote, an error) is read again by the cell loop.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _rows(csv.reader(fh), path)
@@ -83,35 +138,21 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
                 )
             seen[name] = idx
 
-        # one float64 array per row, so the cells never live as Python floats
-        rows: list[np.ndarray] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
-                )
-            parsed = []
-            for col_no, cell in enumerate(row, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    # str.strip() also removes \x1c-\x1f, which float() keeps
-                    text = cell.strip()
-                    try:
-                        parsed.append(np.nan if text.lower() in _MISSING_TOKENS else float(text))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric cell {cell!r} at row {row_no}, "
-                            f"column {col_no} ({names[col_no - 1]})"
-                        ) from None
-            rows.append(np.array(parsed))
+        try:
+            # without quotes, loadtxt's cells are the csv module's; with
+            # comments=None a '#' stays a non-numeric cell
+            values = np.loadtxt(
+                _body_lines(fh), dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
+            )
+        except ValueError:  # UnicodeDecodeError included
+            values = None
+        if values is None or values.shape[1] != len(names):
+            # start again: tell() is disabled once the file is iterated
+            fh.seek(0)
+            reader = _rows(csv.reader(fh), path)
+            next(reader)
+            values = _parse_cells(reader, names, path)
 
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    values = np.array(rows)
-    del rows  # free the row arrays before the steps below copy the panel
     # missing means non-finite after parsing: NA tokens, nan and inf alike
     missing = np.count_nonzero(~np.isfinite(values), axis=0)
     dropped = np.flatnonzero(missing)
@@ -132,7 +173,7 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
 
 
 def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
-    """Flag observations more than ten IQRs from the series mean.
+    """Flag observations more than ten IQRs from the series median.
 
     policy="median" replaces each outlier with the series median (keeps
     series lengths aligned); policy="drop" removes the affected rows from
@@ -148,10 +189,9 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
     log = list(ds.cleaning_log)
     drop = np.zeros(n, dtype=bool)
     # per column, interpolating linearly between order statistics
-    q1, q3 = np.percentile(values, [25.0, 75.0], axis=0)
+    q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0], axis=0)
     iqr = q3 - q1
-    # each mean sums one contiguous row of values.T, as x.mean() sums its column
-    dev = values - np.ascontiguousarray(values.T).mean(axis=1)
+    dev = values - med
     flagged = np.abs(dev, out=dev) > OUTLIER_IQR_MULTIPLE * iqr
     del dev
     for j in np.flatnonzero((iqr == 0.0) | flagged.any(axis=0)):
@@ -161,7 +201,6 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
                 log.append({"series": ds.names[j], "action": "skipped-zero-iqr"})
             continue
         mask = flagged[:, j]
-        med = float(np.median(x))
         for i in np.flatnonzero(mask):
             log.append(
                 {
@@ -172,7 +211,7 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
                 }
             )
         if policy == "median":
-            values[mask, j] = med
+            values[mask, j] = med[j]
         else:
             drop |= mask
     if drop.any():

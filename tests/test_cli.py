@@ -58,6 +58,19 @@ class TestEstimateCommand:
         assert len(report["adjusted_eigenvalues"]) == report["config"]["r_max"]
         assert report["threshold"] == pytest.approx(1.0 + np.sqrt(20 / 119))
 
+    def test_clean_replaces_only_a_gross_value(self, tmp_path):
+        # measured from the mean, which one 1e4 moves by about 83, every
+        # observation of the series was an outlier; all were replaced, and
+        # the then constant series made estimate exit 3
+        g = SeededRng(7).generator()
+        X = np.array(sample_data(build_case(1, 60, 3, g), 120, g).values)
+        X[30, 4] = 1e4
+        out = tmp_path / "report.json"
+        path = write_panel_csv(tmp_path / "outlier.csv", X)
+        assert main(["estimate", path, "--clean", "--out", str(out)]) == 0
+        log = json.loads(out.read_text())["cleaning_log"]
+        assert log == [{"series": "s4", "row": 31, "value": 1e4, "action": "replaced-median"}]
+
     def test_method_errors_do_not_abort(self, factor_panel_csv):
         ds = ingest_csv(factor_panel_csv)
         report = estimate_report(ds, methods=("ACT", "GR"), r_max=18)

@@ -1,10 +1,12 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from actfactors.errors import DataError, ParseError
+from actfactors import panel
 from actfactors.panel import clean_outliers, ingest_csv
 from actfactors.spectral import DataMatrix
 from actfactors.panel import PanelDataset
@@ -57,17 +59,53 @@ class TestIngest:
         path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n5,6\n")
         assert ingest_csv(str(path)).names == ("a", "b")
 
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n", "a,b\r\n\r\n"])
+    def test_header_only_is_no_data_rows_without_a_warning(self, tmp_path, text):
+        # np.loadtxt only warns on a body without rows
+        path = tmp_path / "header.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match="no data rows"):
+                ingest_csv(str(path))
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "text, loop",
+        [
+            ("a,b,c\n1,2,3\n4,5,6\n7,8,9\n", False),
+            ("a,b,c\n1,nan,3\n4,-inf,6\n7,8,9\n", False),
+            ("a,b,c\n1,NA,3\n4,5,6\n7,8,9\n", True),
+            ('a,b,c\n1,"2",3\n4,5,6\n7,8,9\n', True),
+        ],
+        ids=["numbers", "nan-coded", "NA-coded", "quoted"],
+    )
+    def test_cell_loop_runs_only_for_what_loadtxt_rejects(self, tmp_path, monkeypatch, text, loop):
+        calls = []
+        parse_cells = panel._parse_cells
+        monkeypatch.setattr(panel, "_parse_cells", lambda *args: calls.append(args) or parse_cells(*args))
+        ingest_csv(write_csv(tmp_path, text), drop_missing=True)
+        assert len(calls) == loop
+
     def test_too_few_rows(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n3,4\n")
         with pytest.raises(DataError):
             ingest_csv(path)
 
 
+def _csv_errors_as_parse_errors(reader, path):
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _oracle_ingest(path, drop_missing=False):
     """The earlier per-cell loop: strip, missing-token lookup, float() and a
-    finiteness check on every cell, with a set of missing columns."""
+    finiteness check on every cell, with a set of missing columns. Rows the
+    csv module rejects are a ParseError without a row number."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_errors_as_parse_errors(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -170,7 +208,8 @@ _BAD = st.sampled_from(["oops", "0x10", "1__0", "--1", "1 2", "n/a", "_1"])
 @st.composite
 def _csv_texts(draw):
     """Mostly well-formed panels; each file may also carry missing or
-    non-finite cells, bad cells, duplicate headers, ragged or blank rows."""
+    non-finite cells, bad or quoted cells, duplicate headers, ragged, blank
+    or whitespace rows, and \n, \r\n or \r line endings."""
     p = draw(st.sampled_from([1] + [2, 3, 4, 5] * 3))
     unique = draw(st.sampled_from([True] * 5 + [False]))
     names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=p, max_size=p, unique=unique))
@@ -179,16 +218,54 @@ def _csv_texts(draw):
     for _ in range(draw(st.sampled_from([0, 2] + [3, 4, 5, 6, 7, 8] * 3))):
         shape = draw(st.sampled_from(["row"] * 20 + ["blank", "ragged"]))
         if shape == "blank":
-            lines.append("")
+            lines.append(draw(st.sampled_from(["", "", " ", "\x0c"])))
             continue
         width = p + draw(st.sampled_from([-1, 1])) if shape == "ragged" else p
         cells = []
         for _ in range(width):
             kind = draw(st.sampled_from(kinds))
             core = draw({"number": _NUMBER, "missing": _MISSING, "bad": _BAD}[kind])
+            if draw(st.integers(0, 29)) == 0:
+                core = f'"{core}"'
             cells.append(draw(_PAD) + core + draw(_PAD))
         lines.append(",".join(cells))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+# files where numpy's tokenizer and the csv module could split or convert
+# cells differently
+_EDGE_FILES = {
+    "whitespace-row": "a,b\n1,2\n \n3,4\n5,6\n",
+    "form-feed-row": "a,b\n1,2\n\x0c\n3,4\n5,6\n",
+    "whitespace-row-one-series": "a\n1\n \n3\n4\n",
+    "crlf": "a,b\r\n1,2\r\n\r\n3,4\r\n5,6\r\n",
+    "bare-cr": "a,b\r1,2\r\r3,4\r5,6",
+    "quoted-cells": 'a,b\n"1","2"\n"3" ,4\n5,6\n',
+    "doubled-quote": 'a,b\n"1""",2\n3,4\n5,6\n',
+    "space-before-quote": 'a,b\n "1",2\n3,4\n5,6\n',
+    "quoted-comma": 'a,b\n"1,5",2\n3,4\n5,6\n',
+    "unterminated-quote": 'a,b\n1,2\n3,4\n5,"6',
+    "quoted-header-newline": '"a\nx",b\n1,2\n3,4\n5,6\n',
+    "hash-cell-start": "a,b\n#1,2\n3,4\n5,6\n",
+    "hash-cell-middle": "a,b\n1#2,2\n3,4\n5,6\n",
+    "hash-row": "a,b\n1,2\n# note\n3,4\n5,6\n",
+    "nul": "a,b\n1\x00,2\n3,4\n5,6\n",
+    "trailing-delimiter": "a,b\n1,2,\n3,4,\n5,6,\n",
+    "trailing-delimiter-header": "a,b,\n1,2,\n3,4,\n5,6,\n",
+    "rows-wider-than-header": "a,b\n1,2,3\n4,5,6\n7,8,9\n",
+    "rows-narrower-than-header": "a,b,c\n1,2\n4,5\n7,8\n",
+    "header-only": "a,b\n",
+    "header-only-no-newline": "a,b",
+    "header-then-blank-lines": "a,b\n\n\n",
+    "nan-coded": "a,b,c\nnan,2,3\n4,-inf,6\n7,8,9\n",
+    "na-coded": "a,b,c\nNA,2,3\n4,null,6\n7,,9\n",
+    "cell-past-field-limit": "a,b\n1,2\n3," + "9" * 200_000 + "\n5,6\n",
+    # numpy's quote rules read this as 4; the csv module rejects the cell
+    "quoted-cell-past-field-limit-over-two-lines": (
+        'a,b\n1,2\n3,"' + " " * 70_000 + "\n" + " " * 70_000 + '4"\n5,6\n'
+    ),
+}
 
 
 class TestIngestMatchesCellLoop:
@@ -202,6 +279,13 @@ class TestIngestMatchesCellLoop:
                 _oracle_ingest, str(path), drop_missing
             )
 
+    @pytest.mark.parametrize("text", list(_EDGE_FILES.values()), ids=list(_EDGE_FILES))
+    @pytest.mark.parametrize("drop_missing", [False, True])
+    def test_tokenizer_edge_files(self, tmp_path, text, drop_missing):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(ingest_csv, str(path), drop_missing) == _outcome(_oracle_ingest, str(path), drop_missing)
+
     def test_separator_padding_parses(self, tmp_path):
         # float() alone rejects "\x1c1"; the earlier loop stripped it first
         path = write_csv(tmp_path, "a,b,c\n\x1c1,2,7\x1f\n3,4,8\n5, NA ,9\n")
@@ -212,7 +296,7 @@ class TestIngestMatchesCellLoop:
 
 
 def _oracle_clean_outliers(ds, policy="median"):
-    """The earlier body of clean_outliers: one mean and mask per column."""
+    """The earlier body of clean_outliers: one median and mask per column."""
     if policy not in ("median", "drop"):
         raise DataError(f"policy must be 'median' or 'drop', got {policy!r}")
     values = ds.data.values.copy()
@@ -222,18 +306,18 @@ def _oracle_clean_outliers(ds, policy="median"):
     log = list(ds.cleaning_log)
     drop = np.zeros(n, dtype=bool)
     # per column, interpolating linearly between order statistics
-    quartiles = np.percentile(values, [25.0, 75.0], axis=0)
+    quartiles = np.percentile(values, [25.0, 50.0, 75.0], axis=0)
     for j in range(p):
         x = values[:, j]
-        iqr = quartiles[1, j] - quartiles[0, j]
+        iqr = quartiles[2, j] - quartiles[0, j]
         if iqr == 0.0:
             if np.ptp(x) > 0.0:
                 log.append({"series": ds.names[j], "action": "skipped-zero-iqr"})
             continue
-        mask = np.abs(x - x.mean()) > 10.0 * iqr
+        med = quartiles[1, j]
+        mask = np.abs(x - med) > 10.0 * iqr
         if not mask.any():
             continue
-        med = float(np.median(x))
         for i in np.flatnonzero(mask):
             log.append(
                 {
@@ -301,7 +385,7 @@ class TestCleanOutliers:
     def spiked_panel():
         rng = np.random.default_rng(42)
         a = rng.standard_normal(100)
-        a[17] = 500.0  # ~370 IQRs above the mean; the rest stay within 10
+        a[17] = 500.0  # ~370 IQRs above the median; the rest stay within 10
         return np.column_stack([a, np.arange(100.0)])
 
     def test_far_point_replaced_with_median(self):
@@ -329,9 +413,9 @@ class TestCleanOutliers:
         x[:, 2] = np.where(np.arange(80) == 60, 90.0, 1.0)  # zero IQR: skipped, row 61 kept
         drop_rows = set()
         for j in range(x.shape[1]):
-            q1, q3 = np.percentile(x[:, j], [25.0, 75.0])
+            q1, med, q3 = np.percentile(x[:, j], [25.0, 50.0, 75.0])
             if q3 > q1:
-                drop_rows.update(np.flatnonzero(np.abs(x[:, j] - x[:, j].mean()) > 10.0 * (q3 - q1)).tolist())
+                drop_rows.update(np.flatnonzero(np.abs(x[:, j] - med) > 10.0 * (q3 - q1)).tolist())
         keep = [i for i in range(x.shape[0]) if i not in drop_rows]
         names = tuple(f"s{j}" for j in range(x.shape[1]))
         cleaned = clean_outliers(PanelDataset(names, DataMatrix(x)), policy="drop")
@@ -359,17 +443,17 @@ class TestCleanOutliers:
         )
 
     def test_matches_per_column_quartiles(self):
-        # reference: each column's quartiles from its own np.percentile call
+        # reference: each column's median and quartiles from its own np.percentile call
         rng = np.random.default_rng(11)
         x = np.round(rng.standard_cauchy((60, 200)), 1)
         x[:, :5] = np.round(x[:, :5] / 50.0)  # ties, so some columns have zero IQR
         names = tuple(f"s{j}" for j in range(x.shape[1]))
         expected, replaced = x.copy(), []
         for j in range(x.shape[1]):
-            q1, q3 = np.percentile(x[:, j], [25.0, 75.0])
-            mask = np.abs(x[:, j] - x[:, j].mean()) > 10.0 * (q3 - q1)
+            q1, med, q3 = np.percentile(x[:, j], [25.0, 50.0, 75.0])
+            mask = np.abs(x[:, j] - med) > 10.0 * (q3 - q1)
             if q3 > q1 and mask.any():
-                expected[mask, j] = np.median(x[:, j])
+                expected[mask, j] = med
                 replaced += [(f"s{j}", int(i) + 1) for i in np.flatnonzero(mask)]
         cleaned = clean_outliers(PanelDataset(names, DataMatrix(x)))
         np.testing.assert_array_equal(cleaned.data.values, expected)
