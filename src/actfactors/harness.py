@@ -11,9 +11,10 @@ adjusted-threshold count and the above-one count.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -175,6 +176,17 @@ class MethodTally:
     khat_sum: int = 0
     failure_messages: list = field(default_factory=list)
 
+    @classmethod
+    def of(cls, outcomes: list, k_true: int) -> MethodTally:
+        """Tally one method's outcomes, keeping each failure message once."""
+        ks = [o for o in outcomes if not isinstance(o, str)]
+        failures = [o for o in outcomes if isinstance(o, str)]
+        return cls(
+            true_count=sum(k == k_true for k in ks), over_count=sum(k > k_true for k in ks),
+            under_count=sum(k < k_true for k in ks), failed_count=len(failures), khat_sum=sum(ks),
+            failure_messages=list(dict.fromkeys(failures)),
+        )
+
 
 @dataclass
 class CellResult:
@@ -182,9 +194,10 @@ class CellResult:
     tallies: dict  # method -> MethodTally
 
 
-def _run_replications(plan: CellPlan, rep_indices: range) -> dict:
-    tallies = {m: MethodTally() for m in plan.methods}
-    estimators = [(tallies[m], *METHODS[m]) for m in plan.methods]
+def _run_replications(plan: CellPlan, start: int, stop: int) -> dict:
+    """Per method, each replication's count in order, or "Type: message" if the estimator raised."""
+    outcomes = {m: [] for m in plan.methods}
+    estimators = [(outcomes[m], *METHODS[m]) for m in plan.methods]
     fixed_spec = None
     if not plan.fresh_loadings:
         # loadings drawn once per cell from the reserved stream one past the last rep
@@ -192,68 +205,69 @@ def _run_replications(plan: CellPlan, rep_indices: range) -> dict:
         fixed_spec = build_case(plan.case_id, plan.p, plan.k_true, g, plan.family)
     # every replication draws into this one buffer
     panel = np.empty((plan.n, plan.p))
-    for r in rep_indices:
+    for r in range(start, stop):
         g = SeededRng(plan.cell_seed, r).generator()
-        spec = fixed_spec if fixed_spec is not None else build_case(
-            plan.case_id, plan.p, plan.k_true, g, plan.family
-        )
+        spec = fixed_spec or build_case(plan.case_id, plan.p, plan.k_true, g, plan.family)
         cov_spec, corr_spec = spectra(sample_data(spec, plan.n, g, out=panel))
-        for tally, basis, estimate in estimators:
+        for out, basis, estimate in estimators:
             m_spec = cov_spec if basis == "cov" else corr_spec
             try:
-                khat = estimate(m_spec, plan.n, plan.r_max, plan.ed_threshold, plan.on_r_min)
+                out.append(estimate(m_spec, plan.n, plan.r_max, plan.ed_threshold, plan.on_r_min))
             except ActFactorsError as exc:
-                tally.failed_count += 1
-                msg = f"{type(exc).__name__}: {exc}"
-                if msg not in tally.failure_messages:
-                    tally.failure_messages.append(msg)
-                continue
-            tally.khat_sum += khat
-            if khat == plan.k_true:
-                tally.true_count += 1
-            elif khat > plan.k_true:
-                tally.over_count += 1
-            else:
-                tally.under_count += 1
-    return tallies
+                out.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
 
 
-def _merge_tallies(parts: list[dict], methods: tuple[str, ...]) -> dict:
-    merged = {m: MethodTally() for m in methods}
-    for part in parts:
-        for m in methods:
-            a, b = merged[m], part[m]
-            a.true_count += b.true_count
-            a.over_count += b.over_count
-            a.under_count += b.under_count
-            a.failed_count += b.failed_count
-            a.khat_sum += b.khat_sum
-            for msg in b.failure_messages:
-                if msg not in a.failure_messages:
-                    a.failure_messages.append(msg)
-    return merged
+@contextlib.contextmanager
+def _one_blas_thread_children():
+    """Set the BLAS thread-count variables to 1 for the block, then restore
+    each one, removing those that were absent. Spawned children read them
+    when they load numpy; this process's BLAS, already loaded, is unaffected."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ.update(dict.fromkeys(saved, "1"))
+    try:
+        yield
+    finally:
+        for name in saved:
+            del os.environ[name]
+        os.environ.update({name: value for name, value in saved.items() if value is not None})
 
 
-def _worker(args) -> dict:
-    plan, start, stop = args
-    return _run_replications(plan, range(start, stop))
+def _run_cells(plans: list[CellPlan], workers: int) -> list[CellResult]:
+    """Run each cell in at most ``workers`` chunks of at least two replications, in this process
+    (one worker or one chunk) or in one pool of spawned processes for all cells, and tally each
+    cell from its chunks in replication order. Spawned children import the caller's ``__main__``,
+    so a script that runs with workers > 1 needs an ``if __name__ == "__main__":`` guard."""
+    tasks = []
+    for cell, plan in enumerate(plans):
+        n_chunks = max(1, min(workers, plan.replications // 2))
+        bounds = np.linspace(0, plan.replications, n_chunks + 1, dtype=int)
+        tasks += [(cell, plan, int(start), int(stop)) for start, stop in itertools.pairwise(bounds)]
+    cells, *args = zip(*tasks)
+    if workers == 1 or len(tasks) == 1:
+        parts = list(map(_run_replications, *args))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread_children():
+            with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=spawn) as pool:
+                parts = list(pool.map(_run_replications, *args))
+    joined = [{m: [] for m in plan.methods} for plan in plans]
+    for cell, part in zip(cells, parts):
+        for m, outcomes in part.items():
+            joined[cell][m] += outcomes
+    return [
+        CellResult(plan, {m: MethodTally.of(outcomes, plan.k_true) for m, outcomes in by_method.items()})
+        for plan, by_method in zip(plans, joined)
+    ]
 
 
 def run_cell(plan: CellPlan, workers: int = 1) -> CellResult:
-    """Run all replications of one cell, optionally across processes.
-
-    Tallies merge associatively and commutatively, and every replication's
-    generator depends only on (cell seed, replication index), so the result
-    is identical for any worker count.
-    """
-    R = plan.replications
-    if workers <= 1 or R < 2 * workers:
-        return CellResult(plan, _run_replications(plan, range(R)))
-    bounds = np.linspace(0, R, workers + 1, dtype=int)
-    chunks = [(plan, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_worker, chunks))
-    return CellResult(plan, _merge_tallies(parts, plan.methods))
+    """Run all replications of one cell, optionally across processes."""
+    return _run_cells([plan], workers)[0]
 
 
 def _cell_seed(master_seed: int, cell_index: int) -> int:
@@ -352,8 +366,7 @@ def aggregate(results: list[CellResult], config: ExperimentConfig) -> Replicatio
 
 
 def run_experiment(config: ExperimentConfig) -> ReplicationReport:
-    results = [run_cell(plan, config.workers) for plan in _plans(config)]
-    return aggregate(results, config)
+    return aggregate(_run_cells(_plans(config), config.workers), config)
 
 
 #: text-table rows: (label, per-method report field, format of a present value)

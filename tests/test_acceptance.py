@@ -27,6 +27,7 @@ from actfactors.act import (
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, er_estimate, gr_estimate
 from actfactors.harness import ExperimentConfig, run_experiment, run_table1
 from actfactors.models import (
+    FactorModelSpec,
     SeededRng,
     build_case,
     intro_counterexample_spec,
@@ -37,6 +38,7 @@ from actfactors.spectral import (
     Spectrum,
     eigenvalues_desc,
     sample_covariance,
+    spectra,
     to_correlation,
 )
 
@@ -449,4 +451,45 @@ def test_criterion_10_portfolio_panels():
         ok,
         f"k_pre={k_pre} (4), k_post={k_post} (3), market R2={r2_market:.3f} (0.953 +/- 0.02), "
         f"norms=({op:.3f}, {frob:.3f}) ((0.973, 1.591) +/- 0.02)",
+    )
+
+
+def test_criterion_11_detection_boundary():
+    # one factor with equal loadings b and unit noise: the population
+    # correlation's top eigenvalue is (p b^2 + 1)/(b^2 + 1), set to
+    # c (1 + sqrt(p/n)); a spike above the boundary (c > 1) should be
+    # counted with probability tending to one, one below it should not.
+    # Bounds fixed before the first run; R from a budget of about 5 s.
+    t0 = time.time()
+    reps, c_values, sizes = 100, (0.6, 1.2, 1.5), ((100, 200), (200, 400))
+    share = {}
+    for index, (p, n) in enumerate(sizes):
+        for c in c_values:
+            target = c * (1 + math.sqrt(p / n))
+            spec = FactorModelSpec(np.full((p, 1), math.sqrt((target - 1) / (p - target))), np.ones(p))
+            assert eigenvalues_desc(population_correlation(spec), n).eigenvalues[0] == pytest.approx(target)
+            detected = 0
+            for rep in range(reps):
+                X = sample_data(spec, n, SeededRng(MASTER_SEED + 11 + index, rep).generator())
+                detected += act_estimate(spectra(X)[1], n, default_r_max(p, n)) >= 1
+            share[(p, n), c] = detected / reps
+    elapsed = time.time() - t0
+    small, large = sizes
+    q_small, q_large = share[small, 1.2], share[large, 1.2]
+    # Monte Carlo standard error of the difference of the two shares
+    se = math.sqrt((q_small * (1 - q_small) + q_large * (1 - q_large)) / reps)
+    ok = (
+        all(share[size, 0.6] <= 0.25 for size in sizes)
+        and all(share[size, 1.5] >= 0.9 for size in sizes)
+        and q_large >= q_small - 2 * se
+        and elapsed < 30.0
+    )
+    table = "; ".join(
+        f"c={c}: " + ", ".join(f"(p,n)={size} {share[size, c]:.2f}" for size in sizes) for c in c_values
+    )
+    report(
+        "11 detection boundary",
+        ok,
+        f"P(k>=1) over {reps} reps: {table} (<= 0.25 at c=0.6, >= 0.9 at c=1.5, "
+        f"c=1.2 larger size >= smaller - 2 SE = {q_small - 2 * se:.2f}); {elapsed:.1f}s (< 30s)",
     )

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -15,7 +16,9 @@ from actfactors.harness import (
     run_experiment,
     run_table1,
     _cell_seed,
+    _one_blas_thread_children,
     _plans,
+    _run_replications,
 )
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.spectral import spectra
@@ -101,6 +104,21 @@ class TestRunCell:
         er = report.cells[0]["methods"]["ER"]
         assert er["failed_count"] == 0
 
+    def test_tally_of_outcomes(self):
+        outcomes = [3, "DataError: b", 4, 2, "DataError: b", "ConfigError: a", 3]
+        assert MethodTally.of(outcomes, 3) == MethodTally(
+            true_count=2, over_count=1, under_count=1, failed_count=3, khat_sum=12,
+            failure_messages=["DataError: b", "ConfigError: a"],
+        )
+        assert MethodTally.of([], 3) == MethodTally()
+
+    def test_chunks_join_in_replication_order(self):
+        plan = _plans(small_config(cases=(2,), replications=7))[0]
+        whole = _run_replications(plan, 0, 7)
+        head, tail = _run_replications(plan, 0, 3), _run_replications(plan, 3, 7)
+        assert whole == {m: head[m] + tail[m] for m in plan.methods}
+        assert all(len(outcomes) == 7 for outcomes in whole.values())
+
     def test_percent_closure(self):
         report = run_experiment(small_config(replications=12))
         for cell in report.cells:
@@ -142,6 +160,31 @@ class TestDeterminism:
         serial = run_experiment(small_config(replications=10, workers=1))
         parallel = run_experiment(small_config(replications=10, workers=3))
         assert serial.cells == parallel.cells
+
+    def test_pooled_run_keeps_failures_and_the_environment(self, monkeypatch):
+        # GR fails on every replication (r_max beyond the covariance rank);
+        # the pool children run with one BLAS thread, the caller's
+        # environment is restored afterwards
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        kw = dict(p_values=(20,), n_values=(10,), k_true=2, r_max=12, methods=("GR", "ER", "ACT"), replications=5)
+        parallel = run_experiment(small_config(workers=2, **kw))
+        assert dict(os.environ) == before
+        assert parallel.cells == run_experiment(small_config(**kw)).cells
+        assert parallel.cells[0]["methods"]["GR"]["failed_count"] == 5
+
+    def test_blas_threads_pinned_only_inside_the_pool_block(self, monkeypatch):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with pytest.raises(LookupError), _one_blas_thread_children():
+            assert [os.environ[name] for name in names] == ["1", "1", "1"]
+            raise LookupError("the block failed")
+        assert dict(os.environ) == before
 
     @pytest.mark.parametrize("family", ["gaussian", "uniform"])
     @pytest.mark.parametrize("p", [30, 90], ids=["p<n", "p>n"])
