@@ -61,6 +61,11 @@ def _tail_sums(lam: np.ndarray) -> np.ndarray:
     return np.cumsum(lam[::-1])[::-1]
 
 
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, +inf where it is not."""
+    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
+
+
 def er_estimate(spec: Spectrum, r_max: int) -> int:
     """argmax_{1<=i<=r_max} lambda_i / lambda_{i+1}; zero denominators count
     as +inf, so the first of them wins."""
@@ -68,9 +73,7 @@ def er_estimate(spec: Spectrum, r_max: int) -> int:
     lam = spec.eigenvalues
     num = lam[:r_max]
     den = lam[1 : r_max + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    return int(np.argmax(ratios)) + 1
+    return int(np.argmax(_ratios(num, den))) + 1
 
 
 def gr_estimate(spec: Spectrum, r_max: int) -> int:
@@ -113,9 +116,7 @@ def on_estimate(spec: Spectrum, r_min: int, r_max: int) -> int:
     i = np.arange(r_min + 1, r_max + 1)
     num = lam[i - 1] - lam[i]
     den = lam[i] - lam[i + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    return int(i[np.argmax(ratios)])
+    return int(i[np.argmax(_ratios(num, den))])
 
 
 def _penalty(penalty: str, n: int, p: int) -> float:

@@ -149,8 +149,10 @@ def _emit(doc: str, out_path: str | None, stdout_text: str | None = None) -> Non
 
 def _build_parser() -> argparse.ArgumentParser:
     methods = argparse.ArgumentParser(add_help=False)
-    methods.add_argument("--methods", nargs="+", default=list(DEFAULT_METHODS), metavar="M",
-                         help=f"methods to run (choices: {', '.join(VALID_METHODS)})")
+    # no default here: the action is shared, so each handler resolves its own
+    methods.add_argument("--methods", nargs="+", default=None, metavar="M",
+                         help=f"methods to run (default: estimate {' '.join(DEFAULT_METHODS)}, simulate "
+                              f"{' '.join(ExperimentConfig.methods)}; choices: {', '.join(VALID_METHODS)})")
     methods.add_argument("--r-max", type=int, default=None, help="search bound (default min(p/2, (n-1)/2, 50))")
     methods.add_argument("--ed-threshold", type=float, default=None,
                          help="gap threshold for ED (required when ED is requested)")
@@ -179,13 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--case", type=int, choices=[1, 2, 3, 4], required=True, nargs="+")
     sim.add_argument("--p", type=int, nargs="+", required=True)
     sim.add_argument("--n", type=int, nargs="+", required=True)
-    sim.add_argument("--k", type=int, default=5, help="true number of factors")
-    sim.add_argument("--reps", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--k", type=int, default=ExperimentConfig.k_true, help="true number of factors")
+    sim.add_argument("--reps", type=int, default=ExperimentConfig.replications)
+    sim.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     sim.add_argument("--family", choices=["gaussian", "uniform", "both"], default="gaussian")
     sim.add_argument("--fixed-loadings", action="store_true",
                      help="draw loadings once per cell instead of per replication")
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=ExperimentConfig.workers)
     sim.add_argument("--text-table", action="store_true", help="print the aligned text table")
     sim.set_defaults(run=_cmd_simulate)
 
@@ -212,7 +214,7 @@ def _panel(args, path) -> PanelDataset:
 def _cmd_estimate(args) -> None:
     report = estimate_report(
         _panel(args, args.csv),
-        methods=args.methods,
+        methods=args.methods or DEFAULT_METHODS,
         r_max=args.r_max,
         ed_threshold=args.ed_threshold,
         on_r_min=args.on_r_min,
@@ -231,7 +233,7 @@ def _cmd_simulate(args) -> None:
         families=families,
         replications=args.reps,
         master_seed=args.seed,
-        methods=tuple(args.methods),
+        methods=args.methods or ExperimentConfig.methods,
         r_max=args.r_max,
         ed_threshold=args.ed_threshold,
         on_r_min=args.on_r_min,

@@ -126,6 +126,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "methods", canonical_methods(self.methods, self.ed_threshold))
+        if self.k_true < 1:
+            raise ConfigError(f"need K >= 1 true factors, got K={self.k_true}")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if self.workers < 1:
@@ -153,18 +155,20 @@ class ExperimentConfig:
 class CellPlan:
     """One simulation cell, fully self-describing so workers can run it."""
 
+    # declared in the report's key order: aggregate writes a cell as
+    # asdict(plan), with case_id as "case" and methods as per-method entries
     case_id: int
     family: str
     p: int
     n: int
     k_true: int
-    cell_seed: int
     replications: int
-    methods: tuple[str, ...]
     r_max: int
     ed_threshold: float | None
     on_r_min: int
     fresh_loadings: bool
+    cell_seed: int
+    methods: tuple[str, ...]
 
 
 @dataclass
@@ -285,13 +289,13 @@ def _plans(config: ExperimentConfig) -> list[CellPlan]:
             p=p,
             n=n,
             k_true=config.k_true,
-            cell_seed=_cell_seed(config.master_seed, index),
             replications=config.replications,
-            methods=config.methods,
             r_max=default_r_max(p, n) if config.r_max is None else config.r_max,
             ed_threshold=config.ed_threshold,
             on_r_min=config.on_r_min,
             fresh_loadings=config.fresh_loadings,
+            cell_seed=_cell_seed(config.master_seed, index),
+            methods=config.methods,
         )
         for index, (case_id, family, p, n) in enumerate(grid)
     ]
@@ -337,22 +341,8 @@ def aggregate(results: list[CellResult], config: ExperimentConfig) -> Replicatio
             if t.failure_messages:
                 entry["failures"] = sorted(t.failure_messages)
             per_method[m] = entry
-        cells.append(
-            {
-                "case": plan.case_id,
-                "family": plan.family,
-                "p": plan.p,
-                "n": plan.n,
-                "k_true": plan.k_true,
-                "replications": plan.replications,
-                "r_max": plan.r_max,
-                "ed_threshold": plan.ed_threshold,
-                "on_r_min": plan.on_r_min,
-                "fresh_loadings": plan.fresh_loadings,
-                "cell_seed": plan.cell_seed,
-                "methods": per_method,
-            }
-        )
+        cell = asdict(plan)
+        cells.append({"case": cell.pop("case_id"), **cell, "methods": per_method})
     cfg = asdict(config)
     cfg["seed_manifest"] = {
         "master_seed": config.master_seed,

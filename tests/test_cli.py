@@ -12,7 +12,7 @@ from actfactors.act import act_estimate, adjust_eigenvalues, default_r_max
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
-from actfactors.harness import VALID_METHODS
+from actfactors.harness import ExperimentConfig, VALID_METHODS
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, ingest_csv
 from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
@@ -91,6 +91,11 @@ class TestEstimateCommand:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["methods"]["ACT"]["k"] >= 0
+
+    def test_default_methods(self, factor_panel_csv, capsys):
+        assert main(["estimate", factor_panel_csv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["methods"]) == doc["config"]["methods"] == ["ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER"]
 
     def test_cli_out_file(self, factor_panel_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -295,7 +300,7 @@ class TestParser:
                 ["estimate", "p.csv"],
                 {
                     "command": "estimate", "csv": "p.csv", "clean": False, "clean_policy": "median",
-                    "drop_missing": False, "methods": ["ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER"],
+                    "drop_missing": False, "methods": None,
                     "r_max": None, "ed_threshold": None, "on_r_min": 0, "out": None, "basis": None,
                 },
             ),
@@ -304,7 +309,7 @@ class TestParser:
                 {
                     "command": "simulate", "case": [1], "p": [20], "n": [50], "k": 5, "reps": 1000,
                     "seed": 0, "family": "gaussian", "fixed_loadings": False, "workers": 1,
-                    "text_table": False, "methods": ["ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER"],
+                    "text_table": False, "methods": None,
                     "r_max": None, "ed_threshold": None, "on_r_min": 0, "out": None,
                 },
             ),
@@ -344,6 +349,10 @@ class TestSimulateCommand:
         assert rc == 0
         assert "TRUE" in capsys.readouterr().out
 
+    def test_default_methods_are_the_config_defaults(self, capsys):
+        assert main(["simulate", "--case", "1", "--p", "30", "--n", "60", "--k", "3", "--reps", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["cells"][0]["methods"]) == doc["config"]["methods"] == list(ExperimentConfig().methods)
 
     def test_blas_thread_count_does_not_change_the_report(self):
         # p > n cells, so the dual-Gram route runs; the child with one BLAS

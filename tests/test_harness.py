@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
 from actfactors.errors import ConfigError
 from actfactors.harness import (
     METHODS,
+    CellPlan,
     ExperimentConfig,
     MethodTally,
     ReplicationReport,
@@ -77,6 +79,8 @@ class TestConfigValidation:
             small_config(p_values=(4,), k_true=3)
         with pytest.raises(ConfigError):
             small_config(replications=0)
+        with pytest.raises(ConfigError):
+            small_config(k_true=0)
 
 
 class TestRunCell:
@@ -254,6 +258,30 @@ class TestReportShape:
         assert manifest["master_seed"] == 5
         assert "cell_seed_rule" in manifest
         assert doc["cells"][0]["cell_seed"] == _cell_seed(5, 0)
+
+    def test_cells_are_written_from_their_plans(self):
+        # a cell's keys are the plan's fields in order, case_id as "case" and
+        # methods as per-method entries; the cell rebuilds its plan by keyword
+        config = small_config(
+            cases=(1, 2), replications=2, methods=("ED", "ER", "ACT"), ed_threshold=0.5, fresh_loadings=False
+        )
+        plans = _plans(config)
+        cells = json.loads(run_experiment(config).to_json())["cells"]
+        expected = [
+            "case", "family", "p", "n", "k_true", "replications", "r_max", "ed_threshold", "on_r_min",
+            "fresh_loadings", "cell_seed", "methods",
+        ]
+        assert expected == ["case", *[f.name for f in fields(CellPlan)][1:]]
+        for plan, cell in zip(plans, cells, strict=True):
+            assert list(cell) == expected
+            assert list(cell["methods"]) == list(config.methods)
+            rebuilt = CellPlan(
+                case_id=cell["case"], family=cell["family"], p=cell["p"], n=cell["n"], k_true=cell["k_true"],
+                replications=cell["replications"], r_max=cell["r_max"], ed_threshold=cell["ed_threshold"],
+                on_r_min=cell["on_r_min"], fresh_loadings=cell["fresh_loadings"], cell_seed=cell["cell_seed"],
+                methods=tuple(cell["methods"]),
+            )
+            assert rebuilt == plan
 
     def test_on2_is_on_with_shared_r_min(self):
         report = run_experiment(small_config(replications=4, methods=("ON", "ON2"), on_r_min=3))
