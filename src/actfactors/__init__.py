@@ -9,17 +9,13 @@ Carlo harness, and a CSV/CLI front end.
 
 from .act import (
     AdjustedSpectrum,
-    SpectralLaw,
     act_estimate,
     act_select,
     act_threshold,
     adjust_eigenvalues,
     companion_stieltjes,
     default_r_max,
-    law_from_spectrum_tail,
     partial_stieltjes,
-    predicted_spike,
-    psi,
 )
 from .baselines import (
     BaiNgVariant,
@@ -38,8 +34,6 @@ from .errors import (
     NumericalDomain,
     ParseError,
     PoleAtZ,
-    SeparationError,
-    SupportViolation,
     ZeroVarianceSeries,
 )
 from .harness import (

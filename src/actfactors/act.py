@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGap, PoleAtZ, SeparationError, SupportViolation
+from .errors import ConfigError, DegenerateGap, PoleAtZ
 from .spectral import Spectrum
 
 __all__ = [
     "AdjustedSpectrum",
-    "SpectralLaw",
     "partial_stieltjes",
     "companion_stieltjes",
     "adjust_eigenvalues",
@@ -37,9 +36,6 @@ __all__ = [
     "act_select",
     "act_estimate",
     "default_r_max",
-    "psi",
-    "predicted_spike",
-    "law_from_spectrum_tail",
 ]
 
 #: relative jitter applied to break exact eigenvalue ties
@@ -65,34 +61,6 @@ class AdjustedSpectrum:
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ConfigError("adjusted eigenvalues must be finite and positive")
         object.__setattr__(self, "adjusted", arr)
-
-
-@dataclass(frozen=True)
-class SpectralLaw:
-    """Discrete spectral law: atoms t_i in [0, 1] with weights summing to 1,
-    plus the dimension-to-sample limit ratio rho."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if atoms.ndim != 1 or atoms.shape != weights.shape or atoms.size == 0:
-            raise ConfigError("atoms and weights must be equal-length non-empty 1-d arrays")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ConfigError("weights must be nonnegative and sum to 1")
-        if np.any(atoms < -1e-9) or np.any(atoms > 1.0 + 1e-9):
-            raise ConfigError("law support must lie within [0, 1]")
-        if not self.rho > 0:
-            raise ConfigError("rho must be positive")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def max_atom(self) -> float:
-        return float(self.atoms.max())
 
 
 def default_r_max(p: int, n: int) -> int:
@@ -191,32 +159,3 @@ def act_estimate(spec: Spectrum, n: int, r_max: int | None = None) -> int:
     """Adjusted correlation thresholding count from a correlation spectrum."""
     return act_select(adjust_eigenvalues(spec, n, r_max))
 
-
-def psi(x: float, law: SpectralLaw) -> float:
-    """psi(x) = 1 + rho * integral t/(x - t) dH(t) for a discrete law H."""
-    if x <= law.max_atom:
-        raise SupportViolation(f"x={x:g} must exceed the largest atom {law.max_atom:g}")
-    return 1.0 + law.rho * float(np.sum(law.weights * law.atoms / (x - law.atoms)))
-
-
-def predicted_spike(lam: float, law: SpectralLaw) -> float:
-    """Asymptotic sample location lam * psi(lam) of a separated population spike.
-
-    Requires lam >= (max atom) * (1 + sqrt(rho)); equality sits exactly at
-    the bulk edge and is admitted.
-    """
-    bound = law.max_atom * (1.0 + math.sqrt(law.rho))
-    if lam < bound * (1.0 - 1e-12):
-        raise SeparationError(
-            f"spike {lam:g} is below the separation bound {bound:g}"
-        )
-    return lam * psi(lam, law)
-
-
-def law_from_spectrum_tail(population: Spectrum, k: int, rho: float) -> SpectralLaw:
-    """Point-mass law on the trailing eigenvalues lambda_{k+1..p}, equal weights."""
-    lam = population.eigenvalues
-    if not 0 <= k < population.p:
-        raise ConfigError(f"k={k} must lie in [0, p)")
-    tail = np.clip(lam[k:], 0.0, 1.0)
-    return SpectralLaw(tail, np.full(tail.size, 1.0 / tail.size), rho)

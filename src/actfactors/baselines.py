@@ -47,9 +47,6 @@ class BaiNgVariant:
             return cls(name[:2], "g" + name[2])
         raise ConfigError(f"unknown criterion {name!r}; expected PC1-PC3 or IC1-IC3")
 
-    def __str__(self) -> str:
-        return f"{self.family}{self.penalty[1]}"
-
 
 def _check_r_max(r_max: int, upper: int, what: str) -> None:
     if not 1 <= r_max <= upper:

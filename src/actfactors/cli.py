@@ -115,7 +115,7 @@ def analyze_report(ds: PanelDataset, factors: PanelDataset, k: int | None = None
     use_k = k if k is not None else act_k
     if use_k < 1:
         raise DataError(f"selected factor count k={use_k} is not positive")
-    scores = pc_scores(X, use_k, basis="correlation")
+    scores = pc_scores(X, use_k)
     fmat = factors.data.values
     r2 = {
         name: ols_r2(fmat[:, j], scores) for j, name in enumerate(factors.names)

@@ -44,10 +44,3 @@ class PoleAtZ(ActFactorsError):
 class NumericalDomain(ActFactorsError):
     """A criterion hit an invalid numerical domain (log of <= 0, 0 denominator)."""
 
-
-class SupportViolation(ActFactorsError):
-    """Evaluation point lies inside the support of a spectral law."""
-
-
-class SeparationError(ActFactorsError):
-    """Spike is not separated from the bulk; the spike map does not apply."""

@@ -309,8 +309,8 @@ class ReplicationReport:
     cells: list
     schema: str = REPORT_SCHEMA
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps({"schema": self.schema, "config": self.config, "cells": self.cells}, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps({"schema": self.schema, "config": self.config, "cells": self.cells}, indent=2)
 
 
 def aggregate(results: list[CellResult], config: ExperimentConfig) -> ReplicationReport:
@@ -393,19 +393,17 @@ def render_text_table(report: ReplicationReport) -> str:
     return "\n".join(lines)
 
 
-def run_table1(
-    seeds: int = 20,
-    master_seed: int = 0,
-    k_values: tuple[int, ...] = (5, 10),
-    p_values: tuple[int, ...] = (50, 100),
-    sigma2_values: tuple[float, ...] = (1.0, 2.0, 3.0),
-) -> dict:
+#: the paper's population-count grid: K, p and sigma^2, for scenarios 1 and 2
+_TABLE1_GRID = ((5, 10), (50, 100), (1.0, 2.0, 3.0))
+
+
+def run_table1(seeds: int = 20, master_seed: int = 0) -> dict:
     """Population above-one eigenvalue counts over the scenario grid,
     repeated across seeds."""
     if seeds < 1:
         raise ConfigError("need at least one seed")
     cells = []
-    grid = itertools.product((1, 2), k_values, p_values, sigma2_values)
+    grid = itertools.product((1, 2), *_TABLE1_GRID)
     for index, (scenario, K, p, sigma2) in enumerate(grid):
         cell_seed = _cell_seed(master_seed, index)
         counts = [
@@ -425,26 +423,14 @@ def run_table1(
 
 def render_table1_text(table: dict) -> str:
     """Counts of above-one population eigenvalues, scenario 1 vs scenario 2."""
-    by_key = {}
-    sigmas = sorted({c["sigma2"] for c in table["cells"]})
-    for c in table["cells"]:
-        by_key[(c["scenario"], c["K"], c["p"], c["sigma2"])] = c["counts"]
-    lines = [f"Above-one population eigenvalue counts ({table['seeds']} seeds per cell)"]
-    header = f"{'K':>4} {'p':>5}"
-    for s in (1, 2):
-        for sig in sigmas:
-            header += f"  s{s} v={sig:g}"
-    lines.append(header)
-    ks = sorted({c["K"] for c in table["cells"]})
-    ps = sorted({c["p"] for c in table["cells"]})
-    for K in ks:
-        for p in ps:
-            row = f"{K:>4} {p:>5}"
-            for s in (1, 2):
-                for sig in sigmas:
-                    counts = by_key[(s, K, p, sig)]
-                    uniq = sorted(set(counts))
-                    cellstr = str(uniq[0]) if len(uniq) == 1 else "/".join(map(str, uniq))
-                    row += f"{cellstr:>9}"
-            lines.append(row)
+    counts = {(c["scenario"], c["K"], c["p"], c["sigma2"]): c["counts"] for c in table["cells"]}
+    ks, ps, sigmas = _TABLE1_GRID
+    columns = list(itertools.product((1, 2), sigmas))
+    lines = [
+        f"Above-one population eigenvalue counts ({table['seeds']} seeds per cell)",
+        f"{'K':>4} {'p':>5}" + "".join(f"  s{s} v={sig:g}" for s, sig in columns),
+    ]
+    for K, p in itertools.product(ks, ps):
+        cells = ("/".join(map(str, sorted(set(counts[(s, K, p, sig)])))) for s, sig in columns)
+        lines.append(f"{K:>4} {p:>5}" + "".join(f"{cell:>9}" for cell in cells))
     return "\n".join(lines)

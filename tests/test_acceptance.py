@@ -20,9 +20,7 @@ from actfactors.act import (
     adjust_eigenvalues,
     companion_stieltjes,
     default_r_max,
-    law_from_spectrum_tail,
     partial_stieltjes,
-    predicted_spike,
 )
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, er_estimate, gr_estimate
 from actfactors.harness import ExperimentConfig, run_experiment, run_table1
@@ -42,6 +40,8 @@ from actfactors.spectral import (
     to_correlation,
 )
 
+from helpers import spectrum, spike_map
+
 MASTER_SEED = 20260810
 
 
@@ -54,11 +54,6 @@ def cell_entry(config: ExperimentConfig, method: str) -> dict:
     rep = run_experiment(config)
     assert len(rep.cells) == 1
     return rep.cells[0]["methods"][method]
-
-
-def spectrum(values, n=0):
-    values = np.asarray(values, dtype=float)
-    return Spectrum(values, p=values.size, n=n)
 
 
 def test_criterion_1_population_count_table():
@@ -193,7 +188,6 @@ def _criterion_7_errors():
         spec = build_case(4, p, K, g)
         pop = eigenvalues_desc(population_correlation(spec))
         lam = pop.eigenvalues
-        law = law_from_spectrum_tail(pop, K, rho)
         X = sample_data(spec, n, g)
         sample_spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
         sam = sample_spec.eigenvalues
@@ -210,8 +204,7 @@ def _criterion_7_errors():
             err_corrected[rep, j] = abs(adj.adjusted[j] - lam[j]) / lam[j]
             node_share[rep, j] = (-1.0 / m_plain - oracle) / lam[j]
             err_plain[rep, j] = abs(-1.0 / m_plain - lam[j]) / lam[j]
-            predicted = predicted_spike(lam[j], law)
-            err_raw[rep, j] = abs(sam[j] - predicted) / lam[j]
+            err_raw[rep, j] = abs(sam[j] - spike_map(lam[j], lam[K:], rho)) / lam[j]
     return {
         "corrected": np.median(err_corrected, axis=0),
         "node_share": np.median(node_share, axis=0),
@@ -434,7 +427,7 @@ def test_criterion_10_portfolio_panels():
     k_pre = act_estimate(spec_pre, pre.n)
     k_post = act_estimate(spec_post, post.n)
 
-    scores = pc_scores(pre.data, 4, basis="correlation")
+    scores = pc_scores(pre.data, 4)
     fmat = pre_factors.data.values
     r2_market = ols_r2(fmat[:, 0], scores)
     op, frob = projection_distance(fmat[:, :4], scores)

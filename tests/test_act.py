@@ -6,32 +6,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from actfactors.act import (
+    TIE_JITTER,
     AdjustedSpectrum,
-    SpectralLaw,
     act_estimate,
     act_select,
     act_threshold,
     adjust_eigenvalues,
     companion_stieltjes,
     default_r_max,
-    law_from_spectrum_tail,
     partial_stieltjes,
-    predicted_spike,
-    psi,
 )
-from actfactors.errors import (
-    ConfigError,
-    DegenerateGap,
-    PoleAtZ,
-    SeparationError,
-    SupportViolation,
-)
-from actfactors.spectral import Spectrum
+from actfactors.errors import ConfigError, DegenerateGap, PoleAtZ
 
-
-def spectrum(values, n=0):
-    values = np.asarray(values, dtype=float)
-    return Spectrum(values, p=values.size, n=n)
+from helpers import spectrum, spike_map
 
 
 def _oracle_adjust(lam, n, r_max):
@@ -159,6 +146,24 @@ class TestAdjustEigenvalues:
         expected, jittered = _oracle_adjust(spec.eigenvalues, 20, 3)
         assert jittered
         np.testing.assert_allclose(adj.adjusted, expected, rtol=1e-12)
+
+    def test_tie_collapse_is_the_near_tie_limit(self):
+        # the jitter leaves lambda_3 - lambda_4 = 2e-9, so the terms at that gap
+        # (the synthetic node and lambda_4) dominate mu_3 and adjusted_3 is
+        # about 6.9e-9: the same value as a spectrum lowered by hand, and the
+        # limit of the near-tie sweep lambda_4 = 2 - eps, lambda_5 = 2 - 2 eps
+        def adjusted(lam4, lam5):
+            return adjust_eigenvalues(spectrum([5.0, 3.0, 2.0, lam4, lam5, 1.0, 0.5, 0.2], n=20), 20, r_max=3)
+
+        tied = adjusted(2.0, 2.0)
+        lam4 = 2.0 - TIE_JITTER * 2.0
+        by_hand = adjusted(lam4, lam4 - TIE_JITTER * lam4)
+        assert tied.jittered and not by_hand.jittered
+        assert tied.adjusted.tobytes() == by_hand.adjusted.tobytes()
+        assert tied.adjusted[2] == pytest.approx(6.909e-9, rel=1e-4)
+        sweep = [adjusted(2.0 - eps, 2.0 - 2.0 * eps).adjusted[2] for eps in 10.0 ** -np.arange(1, 9)]
+        assert sweep[0] == pytest.approx(0.296, rel=1e-3)
+        assert np.all(np.diff(sweep + [tied.adjusted[2]]) < 0.0)
 
     @pytest.mark.parametrize(
         "values, n, r_max, error, message",
@@ -332,46 +337,30 @@ class TestOracleAgreement:
 
 
 class TestSpectralLaw:
+    """Closed forms of the reference spike map lam * psi(lam) over a bulk
+    law, which criterion 7b holds the raw sample eigenvalues to."""
+
     def test_psi_point_mass(self):
-        law = SpectralLaw(np.array([1.0]), np.array([1.0]), rho=0.5)
-        assert psi(3.0, law) == pytest.approx(1.25, abs=1e-15)
+        assert spike_map(3.0, [1.0], 0.5) == pytest.approx(3.0 * 1.25, abs=1e-15)
 
     def test_psi_limit_at_infinity(self):
-        law = SpectralLaw(np.array([1.0, 0.5]), np.array([0.5, 0.5]), rho=2.0)
-        assert psi(1e12, law) == pytest.approx(1.0, abs=1e-9)
+        assert spike_map(1e12, [1.0, 0.5], 2.0) / 1e12 == pytest.approx(1.0, abs=1e-9)
 
     def test_psi_two_atoms(self):
-        law = SpectralLaw(np.array([1.0, 0.5]), np.array([0.5, 0.5]), rho=1.0)
         oracle = 1.0 + (0.5 * 1.0 / 1.0 + 0.5 * 0.5 / 1.5)
-        assert psi(2.0, law) == pytest.approx(oracle, abs=1e-12)
-        assert psi(2.0, law) == pytest.approx(1.6667, abs=1e-4)
-
-    def test_psi_inside_support(self):
-        law = SpectralLaw(np.array([1.0]), np.array([1.0]), rho=1.0)
-        with pytest.raises(SupportViolation):
-            psi(0.9, law)
+        assert spike_map(2.0, [1.0, 0.5], 1.0) == pytest.approx(2.0 * oracle, abs=1e-12)
 
     def test_spike_at_bulk_edge(self):
         # point mass at 1, rho = 1: the edge spike 1 + sqrt(rho) maps to
         # (1 + sqrt(rho))^2
-        law = SpectralLaw(np.array([1.0]), np.array([1.0]), rho=1.0)
-        assert predicted_spike(2.0, law) == pytest.approx(4.0, abs=1e-12)
+        assert spike_map(2.0, [1.0], 1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_spike_classical_regime(self):
-        law = SpectralLaw(np.array([1.0]), np.array([1.0]), rho=1e-14)
-        assert predicted_spike(7.0, law) == pytest.approx(7.0, abs=1e-9)
+        assert spike_map(7.0, [1.0], 1e-14) == pytest.approx(7.0, abs=1e-9)
 
     def test_spike_quarter_rho(self):
-        law = SpectralLaw(np.array([1.0]), np.array([1.0]), rho=0.25)
-        assert predicted_spike(3.0, law) == pytest.approx(3.375, abs=1e-12)
+        assert spike_map(3.0, [1.0], 0.25) == pytest.approx(3.375, abs=1e-12)
 
     def test_separation_guard(self):
-        law = SpectralLaw(np.array([1.0]), np.array([1.0]), rho=1.0)
-        with pytest.raises(SeparationError):
-            predicted_spike(1.9, law)
-
-    def test_law_from_tail(self):
-        spec = spectrum([3.0, 0.9, 0.6, 0.5])
-        law = law_from_spectrum_tail(spec, 1, rho=0.5)
-        np.testing.assert_allclose(law.atoms, [0.9, 0.6, 0.5])
-        np.testing.assert_allclose(law.weights, [1 / 3] * 3)
+        with pytest.raises(AssertionError, match="below the separation bound"):
+            spike_map(1.9, [1.0], 1.0)

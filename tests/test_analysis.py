@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from actfactors.analysis import ols_r2, pc_scores, projection_distance, variance_explained
 from actfactors.errors import ConfigError, DataError, ZeroVarianceSeries
-from actfactors.spectral import Spectrum, sample_covariance, to_correlation
+from actfactors.spectral import sample_covariance, to_correlation
 
-
-def spectrum(values, n=0):
-    values = np.asarray(values, dtype=float)
-    return Spectrum(values, p=values.size, n=n)
+from helpers import spectrum
 
 
 class TestVarianceExplained:
@@ -60,10 +57,7 @@ class TestPcScores:
     def test_sign_convention(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 5))
-        for basis in ("covariance", "correlation"):
-            scores1 = pc_scores(X, 3, basis)
-            scores2 = pc_scores(-X, 3, basis)
-            np.testing.assert_allclose(np.abs(scores1), np.abs(scores2), atol=1e-10)
+        np.testing.assert_allclose(np.abs(pc_scores(X, 3)), np.abs(pc_scores(-X, 3)), atol=1e-10)
 
     def test_constant_column_is_zero_variance_on_both_paths(self):
         # 0.1 does not centre to exact zeros; round-off must not be scaled up
@@ -72,16 +66,15 @@ class TestPcScores:
         with pytest.raises(ZeroVarianceSeries) as direct:
             to_correlation(sample_covariance(X))
         with pytest.raises(ZeroVarianceSeries) as scores:
-            pc_scores(X, 2, basis="correlation")
+            pc_scores(X, 2)
         assert direct.value.column == scores.value.column == 3
 
-    @pytest.mark.parametrize("basis", ["covariance", "correlation"])
-    def test_overflow_is_a_data_error_without_warning(self, basis):
+    def test_overflow_is_a_data_error_without_warning(self):
         X = np.random.default_rng(6).standard_normal((20, 5)) * 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="^covariance matrix contains non-finite entries$"):
-                pc_scores(X, 2, basis=basis)
+                pc_scores(X, 2)
 
     @staticmethod
     def _panel(seed):
@@ -96,16 +89,6 @@ class TestPcScores:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_equal_to_symmetrised_eigh(self, seed):
-        # oracle: the earlier body, which symmetrised z.T @ z / n before eigh
-        X = self._panel(seed)
-        z = X - X.mean(axis=0)
-        m = z.T @ z / 30
-        vk = self._top_eigenvectors((m + m.T) / 2.0, 3)
-        assert pc_scores(X, 3, "covariance").tobytes() == (z @ vk).tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000))
     def test_correlation_factorises_the_reported_matrix(self, seed):
         # oracle: the centred data over sqrt(diag(cov)), times the top
         # eigenvectors of to_correlation(sample_covariance(X)), bit for bit
@@ -113,7 +96,7 @@ class TestPcScores:
         cov = sample_covariance(X)
         zs = (X - X.mean(axis=0)) / np.sqrt(np.diag(cov))
         vk = self._top_eigenvectors(to_correlation(cov), 3)
-        scores = pc_scores(X, 3, "correlation")
+        scores = pc_scores(X, 3)
         assert scores.tobytes() == (zs @ vk).tobytes()
         # the earlier body standardised by sum(z**2)/n and took eigh of the
         # symmetrised Gram; it differs only at round-off
@@ -127,14 +110,14 @@ class TestPcScores:
         X = np.random.default_rng(7).standard_normal((20, 5))
         X[3, 1] = np.nan
         with pytest.raises(DataError, match="^data matrix contains non-finite entries$"):
-            pc_scores(X, 2, basis="correlation")
+            pc_scores(X, 2)
 
     def test_tiny_units_are_a_data_error(self):
         # variances near 1e-320 pass the zero-variance rule, but the rescale
         # to the correlation overflows; estimate and analyze refuse it alike
         values = np.random.default_rng(3).standard_normal((30, 50))
         with pytest.raises(DataError, match="^matrix contains non-finite entries$"):
-            pc_scores((values - values.mean(axis=0)) * 1e-160, 2, basis="correlation")
+            pc_scores((values - values.mean(axis=0)) * 1e-160, 2)
 
     def test_k_bound(self):
         X = np.random.default_rng(4).standard_normal((5, 10))

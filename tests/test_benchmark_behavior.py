@@ -3,8 +3,6 @@ and success regimes of each estimator family, at reduced replication counts
 (the acceptance suite runs the tighter, larger versions).
 """
 
-import numpy as np
-
 from actfactors.act import act_estimate, default_r_max
 from actfactors.baselines import ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import estimate_report
