@@ -27,22 +27,21 @@ def variance_explained(spec: Spectrum, k: int) -> float:
     return float(spec.eigenvalues[:k].sum()) / total
 
 
-def pc_scores(X: DataMatrix | np.ndarray, k: int) -> np.ndarray:
+def pc_scores(X: DataMatrix, k: int) -> np.ndarray:
     """Project the centered, standardized data onto the top-k eigenvectors
     of to_correlation(sample_covariance(X)): the matrix whose eigenvalues
     the reports print. Sign convention: the largest-magnitude loading of
     each component is positive."""
-    arr = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    n, p = arr.shape
+    n, p = X.n, X.p
     if not 0 <= k <= min(n - 1, p):
         raise ConfigError(f"k={k} must lie in [0, min(n-1, p)={min(n - 1, p)}]")
     if k == 0:
         return np.empty((n, 0))
-    cov = sample_covariance(arr)
+    cov = sample_covariance(X)
     w, v = np.linalg.eigh(to_correlation(cov))  # raises on a zero variance before the division
     vk = v[:, np.argsort(w)[::-1][:k]]
     vk *= np.where(vk[np.argmax(np.abs(vk), axis=0), range(k)] < 0.0, -1.0, 1.0)
-    return ((arr - arr.mean(axis=0)) / np.sqrt(np.diag(cov))) @ vk
+    return ((X.values - X.values.mean(axis=0)) / np.sqrt(np.diag(cov))) @ vk
 
 
 def ols_r2(y: np.ndarray, F: np.ndarray) -> float:

@@ -125,22 +125,6 @@ def _penalty(penalty: str, n: int, p: int) -> float:
     return math.log(c2) / c2
 
 
-def _bai_ng_argmin(
-    mu: np.ndarray, n: int, p: int, family: str, g: float, r_max: int
-) -> int:
-    m = min(n, p)
-    v = _tail_sums(mu[:m])[: r_max + 1] / p
-    k = np.arange(r_max + 1)
-    if family == "PC":
-        sigma2 = v[r_max]
-        crit = v + k * sigma2 * g
-    else:
-        if np.any(v <= 0.0):
-            raise NumericalDomain("V(k) hit zero; IC criterion undefined")
-        crit = np.log(v) + k * g
-    return int(np.argmin(crit))
-
-
 def bai_ng_estimate(
     cov_spec: Spectrum, n: int, p: int, variant: BaiNgVariant, r_max: int
 ) -> int:
@@ -151,6 +135,13 @@ def bai_ng_estimate(
         raise ConfigError(f"spectrum has p={cov_spec.p}, expected {p}")
     if not 1 <= r_max < min(n, p):
         raise ConfigError(f"need 1 <= r_max < min(n, p)={min(n, p)}, got {r_max}")
-    return _bai_ng_argmin(
-        cov_spec.eigenvalues, n, p, variant.family, _penalty(variant.penalty, n, p), r_max
-    )
+    v = _tail_sums(cov_spec.eigenvalues[: min(n, p)])[: r_max + 1] / p
+    k = np.arange(r_max + 1)
+    g = _penalty(variant.penalty, n, p)
+    if variant.family == "PC":
+        crit = v + k * v[r_max] * g
+    elif np.any(v <= 0.0):
+        raise NumericalDomain("V(k) hit zero; IC criterion undefined")
+    else:
+        crit = np.log(v) + k * g
+    return int(np.argmin(crit))

@@ -252,6 +252,9 @@ def _cmd_table1(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    if args.clean and args.clean_policy == "drop":
+        raise ConfigError("analyze cleans with --clean-policy median only: drop would remove different rows "
+                          "from the panel and the factors")
     report = analyze_report(_panel(args, args.csv), _panel(args, args.factors), k=args.k)
     _emit(json.dumps(report, indent=2), args.out)
 

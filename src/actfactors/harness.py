@@ -406,12 +406,8 @@ def run_table1(seeds: int = 20, master_seed: int = 0) -> dict:
     grid = itertools.product((1, 2), *_TABLE1_GRID)
     for index, (scenario, K, p, sigma2) in enumerate(grid):
         cell_seed = _cell_seed(master_seed, index)
-        counts = [
-            kaiser_population_count(
-                population_correlation(table1_scenario(scenario, K, p, sigma2, SeededRng(cell_seed, s)))
-            )
-            for s in range(seeds)
-        ]
+        specs = (table1_scenario(scenario, K, p, sigma2, SeededRng(cell_seed, s).generator()) for s in range(seeds))
+        counts = [kaiser_population_count(population_correlation(spec)) for spec in specs]
         cells.append({"scenario": scenario, "K": K, "p": p, "sigma2": sigma2, "counts": counts})
     return {
         "schema": "actfactors/population-count-table/v1",

@@ -48,14 +48,6 @@ class SeededRng:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream]))
 
 
-def _as_generator(rng: SeededRng | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, SeededRng):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ConfigError(f"rng must be a SeededRng or numpy Generator, got {type(rng).__name__}")
-
-
 @dataclass(frozen=True)
 class FactorModelSpec:
     """Loading matrix B (p x K), noise variances nu2 (> 0) and the
@@ -98,7 +90,7 @@ def build_case(
     case_id: int,
     p: int,
     K: int,
-    rng: SeededRng | np.random.Generator,
+    rng: np.random.Generator,
     family: str = "gaussian",
 ) -> FactorModelSpec:
     """Benchmark loading/noise constructions.
@@ -112,7 +104,6 @@ def build_case(
     """
     if not p > K >= 1:
         raise ConfigError(f"need p > K >= 1, got p={p}, K={K}")
-    g = _as_generator(rng)
     if case_id == 1:
         b = np.empty((p, K))
         b[:K, :] = np.sqrt(3.0 / np.sqrt(p))
@@ -123,15 +114,15 @@ def build_case(
             b[K:, j - 1] = col
         nu2 = np.full(p, 0.55**2)
     elif case_id == 2:
-        b = g.standard_normal((p, K))
-        nu2 = g.uniform(0.0, 180.0, p)
+        b = rng.standard_normal((p, K))
+        nu2 = rng.uniform(0.0, 180.0, p)
     elif case_id == 3:
-        b = g.standard_normal((p, K))
+        b = rng.standard_normal((p, K))
         nu2 = np.full(p, 36.0 * K)
     elif case_id == 4:
-        b = g.normal(0.0, 0.2, (p, K))
+        b = rng.normal(0.0, 0.2, (p, K))
         b[np.arange(K), np.arange(K)] = 1.0
-        nu2 = g.uniform(0.0, 5.5, p)
+        nu2 = rng.uniform(0.0, 5.5, p)
     else:
         raise ConfigError(f"case id must be 1..4, got {case_id}")
     return FactorModelSpec(b, nu2, family)
@@ -140,7 +131,7 @@ def build_case(
 def sample_data(
     spec: FactorModelSpec,
     n: int,
-    rng: SeededRng | np.random.Generator,
+    rng: np.random.Generator,
     out: np.ndarray | None = None,
 ) -> DataMatrix:
     """Draw n iid observations y_i = B f_i + eps_i.
@@ -153,7 +144,6 @@ def sample_data(
     """
     if n < 3:
         raise ConfigError(f"need n >= 3 observations, got {n}")
-    g = _as_generator(rng)
     p, k = spec.p, spec.k
     if out is None:
         out = np.empty((n, p))
@@ -166,12 +156,12 @@ def sample_data(
     ):
         raise ConfigError(f"out must be a writable C-contiguous float64 array of shape ({n}, {p})")
     if spec.family == "gaussian":
-        f = g.standard_normal((n, k))
-        g.standard_normal(out=out)
+        f = rng.standard_normal((n, k))
+        rng.standard_normal(out=out)
         out *= np.sqrt(spec.noise_variances)
     else:
-        f = g.uniform(0.0, 2.0 * np.sqrt(3.0), (n, k))
-        g.random(out=out)
+        f = rng.uniform(0.0, 2.0 * np.sqrt(3.0), (n, k))
+        rng.random(out=out)
         out *= 2.0 * np.sqrt(3.0 * spec.noise_variances)
     out += f @ spec.loadings.T
     return DataMatrix(out)
@@ -190,21 +180,17 @@ def table1_scenario(
     K: int,
     p: int,
     sigma2: float,
-    rng: SeededRng | np.random.Generator,
+    rng: np.random.Generator,
 ) -> FactorModelSpec:
     """Population designs behind the above-one eigenvalue counts: K-1 loading
     columns iid U(-1,1); the K-th column is U(-1,1) (scenario 1, full rank)
-    or zero (scenario 2, rank K-1). Homogeneous noise variance sigma2."""
+    or zero (scenario 2, rank K-1). Homogeneous noise variance sigma2.
+    FactorModelSpec refuses p <= K and sigma2 <= 0."""
     if scenario not in (1, 2):
         raise ConfigError(f"scenario must be 1 or 2, got {scenario}")
     if K < 2:
         raise ConfigError(f"need K >= 2, got {K}")
-    if not p > K:
-        raise ConfigError(f"need p > K, got p={p}, K={K}")
-    if not sigma2 > 0:
-        raise ConfigError("sigma2 must be positive")
-    g = _as_generator(rng)
-    b = g.uniform(-1.0, 1.0, (p, K))
+    b = rng.uniform(-1.0, 1.0, (p, K))
     if scenario == 2:
         b[:, K - 1] = 0.0
     return FactorModelSpec(b, np.full(p, float(sigma2)), "gaussian")
@@ -213,8 +199,8 @@ def table1_scenario(
 def intro_counterexample_spec(
     p: int,
     K: int,
-    nu2_extra: float = 25.0,
-    rng: SeededRng | np.random.Generator = SeededRng(0),
+    nu2_extra: float,
+    rng: np.random.Generator,
 ) -> FactorModelSpec:
     """Heterogeneous-scale construction on which covariance-based counts
     overshoot: dense U(-1,1) loadings except series K+1, which carries no
@@ -227,9 +213,8 @@ def intro_counterexample_spec(
         raise ConfigError(f"need p > K+1, got p={p}, K={K}")
     if not nu2_extra > 1.0:
         raise ConfigError("nu2_extra must exceed the unit noise variance")
-    g = _as_generator(rng)
     for _ in range(100):
-        b = g.uniform(-1.0, 1.0, (p, K))
+        b = rng.uniform(-1.0, 1.0, (p, K))
         b[K, :] = 0.0
         if np.linalg.cond(b) < 100.0:
             break

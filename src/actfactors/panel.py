@@ -45,14 +45,6 @@ class PanelDataset:
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "cleaning_log", tuple(self.cleaning_log))
 
-    @property
-    def n(self) -> int:
-        return self.data.n
-
-    @property
-    def p(self) -> int:
-        return self.data.p
-
 
 def _rows(reader, path):
     """The reader's rows, with undecodable bytes and csv errors as ParseError."""

@@ -94,18 +94,9 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", arr)
 
 
-def sample_covariance(X: DataMatrix | np.ndarray) -> np.ndarray:
+def sample_covariance(X: DataMatrix) -> np.ndarray:
     """Sample covariance n^{-1} sum_i (y_i - ybar)(y_i - ybar)^T (divisor n)."""
-    if isinstance(X, DataMatrix):
-        arr = X.values
-    else:
-        arr = _as_matrix(X, "data matrix")
-        if arr.shape[0] < 2:
-            raise DimensionError(f"covariance needs at least 2 rows, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("data matrix contains non-finite entries")
-    centered = arr - arr.mean(axis=0)
-    return _gram(centered.T, arr.shape[0])
+    return _gram((X.values - X.values.mean(axis=0)).T, X.n)
 
 
 def _gram(A: np.ndarray, n: int) -> np.ndarray:

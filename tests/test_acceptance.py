@@ -33,6 +33,7 @@ from actfactors.models import (
     sample_data,
 )
 from actfactors.spectral import (
+    DataMatrix,
     Spectrum,
     eigenvalues_desc,
     sample_covariance,
@@ -162,7 +163,7 @@ def test_criterion_6_noise_bulk_edge():
     tops = []
     for rep in range(50):
         rng = SeededRng(MASTER_SEED + 2, rep).generator()
-        X = rng.standard_normal((n, p))
+        X = DataMatrix(rng.standard_normal((n, p)))
         spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
         tops.append(spec.eigenvalues[0])
     med = float(np.median(tops))
@@ -309,8 +310,8 @@ class TestCriterion9Properties:
             n, p, k = 60, 15, 2
             X = g.standard_normal((n, k)) @ g.uniform(-1, 1, (k, p)) + g.standard_normal((n, p))
             d = g.uniform(1e-4, 1e4, p)
-            a = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(X)), n), n)
-            b = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(X * d)), n), n)
+            a = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X))), n), n)
+            b = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X * d))), n), n)
             if a != b:
                 mism += 1
         report(
@@ -325,7 +326,7 @@ class TestCriterion9Properties:
             g = SeededRng(MASTER_SEED + 6, t).generator()
             n = int(g.integers(5, 80))
             p = int(g.integers(2, 40))
-            X = g.standard_normal((n, p)) * g.uniform(0.1, 10.0, p)
+            X = DataMatrix(g.standard_normal((n, p)) * g.uniform(0.1, 10.0, p))
             spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
             worst = max(worst, abs(float(spec.eigenvalues.sum()) - p) / p)
         closure_config = ExperimentConfig(
@@ -422,10 +423,10 @@ def test_criterion_10_portfolio_panels():
     pre_factors = ingest_csv(os.environ[FF_ENV["pre"][1]], drop_missing=True)
     post = ingest_csv(os.environ[FF_ENV["post"][0]], drop_missing=True)
 
-    spec_pre = eigenvalues_desc(to_correlation(sample_covariance(pre.data)), pre.n)
-    spec_post = eigenvalues_desc(to_correlation(sample_covariance(post.data)), post.n)
-    k_pre = act_estimate(spec_pre, pre.n)
-    k_post = act_estimate(spec_post, post.n)
+    spec_pre = eigenvalues_desc(to_correlation(sample_covariance(pre.data)), pre.data.n)
+    spec_post = eigenvalues_desc(to_correlation(sample_covariance(post.data)), post.data.n)
+    k_pre = act_estimate(spec_pre, pre.data.n)
+    k_post = act_estimate(spec_post, post.data.n)
 
     scores = pc_scores(pre.data, 4)
     fmat = pre_factors.data.values

@@ -271,14 +271,14 @@ class TestThresholdAndSelect:
     @given(seed=st.integers(0, 50_000))
     def test_rescaling_invariance(self, seed):
         # per-column rescaling of the panel leaves the count unchanged
-        from actfactors.spectral import eigenvalues_desc, sample_covariance, to_correlation
+        from actfactors.spectral import DataMatrix, eigenvalues_desc, sample_covariance, to_correlation
 
         rng = np.random.default_rng(seed)
         n, p, k = 40, 12, 2
         X = rng.standard_normal((n, k)) @ rng.standard_normal((k, p)) + rng.standard_normal((n, p))
         d = rng.uniform(1e-3, 1e3, p)
-        spec_plain = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
-        spec_scaled = eigenvalues_desc(to_correlation(sample_covariance(X * d)), n)
+        spec_plain = eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X))), n)
+        spec_scaled = eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X * d))), n)
         assert act_estimate(spec_plain, n) == act_estimate(spec_scaled, n)
 
     @settings(max_examples=60, deadline=None)
@@ -327,7 +327,7 @@ class TestOracleAgreement:
         pop = eigenvalues_desc(population_correlation(spec)).eigenvalues
         errs = []
         for rep in range(30):
-            X = sample_data(spec, n, SeededRng(77, rep))
+            X = sample_data(spec, n, SeededRng(77, rep).generator())
             sample_spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
             adj = adjust_eigenvalues(sample_spec, n, r_max=1)
             errs.append((adj.adjusted[0] - pop[0]) / pop[0])

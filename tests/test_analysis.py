@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from actfactors.analysis import ols_r2, pc_scores, projection_distance, variance_explained
 from actfactors.errors import ConfigError, DataError, ZeroVarianceSeries
-from actfactors.spectral import sample_covariance, to_correlation
+from actfactors.spectral import DataMatrix, sample_covariance, to_correlation
 
 from helpers import spectrum
 
@@ -33,14 +33,14 @@ class TestVarianceExplained:
 
 class TestPcScores:
     def test_k_zero_empty(self):
-        X = np.random.default_rng(0).standard_normal((10, 4))
+        X = DataMatrix(np.random.default_rng(0).standard_normal((10, 4)))
         assert pc_scores(X, 0).shape == (10, 0)
 
     def test_rank_one_direction(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(20)
         v = rng.standard_normal(6)
-        X = np.outer(u, v)
+        X = DataMatrix(np.outer(u, v))
         scores = pc_scores(X, 1)
         uc = u - u.mean()
         corr = np.corrcoef(scores[:, 0], uc)[0, 1]
@@ -48,7 +48,7 @@ class TestPcScores:
 
     def test_orthogonality(self):
         rng = np.random.default_rng(2)
-        X = rng.standard_normal((60, 8))
+        X = DataMatrix(rng.standard_normal((60, 8)))
         scores = pc_scores(X, 4)
         gram = scores.T @ scores
         off = gram - np.diag(np.diag(gram))
@@ -57,12 +57,13 @@ class TestPcScores:
     def test_sign_convention(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 5))
-        np.testing.assert_allclose(np.abs(pc_scores(X, 3)), np.abs(pc_scores(-X, 3)), atol=1e-10)
+        np.testing.assert_allclose(np.abs(pc_scores(DataMatrix(X), 3)), np.abs(pc_scores(DataMatrix(-X), 3)), atol=1e-10)
 
     def test_constant_column_is_zero_variance_on_both_paths(self):
         # 0.1 does not centre to exact zeros; round-off must not be scaled up
         X = np.random.default_rng(5).standard_normal((300, 6))
         X[:, 2] = 0.1
+        X = DataMatrix(X)
         with pytest.raises(ZeroVarianceSeries) as direct:
             to_correlation(sample_covariance(X))
         with pytest.raises(ZeroVarianceSeries) as scores:
@@ -70,7 +71,7 @@ class TestPcScores:
         assert direct.value.column == scores.value.column == 3
 
     def test_overflow_is_a_data_error_without_warning(self):
-        X = np.random.default_rng(6).standard_normal((20, 5)) * 1e200
+        X = DataMatrix(np.random.default_rng(6).standard_normal((20, 5)) * 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="^covariance matrix contains non-finite entries$"):
@@ -93,10 +94,10 @@ class TestPcScores:
         # oracle: the centred data over sqrt(diag(cov)), times the top
         # eigenvectors of to_correlation(sample_covariance(X)), bit for bit
         X = self._panel(seed)
-        cov = sample_covariance(X)
+        cov = sample_covariance(DataMatrix(X))
         zs = (X - X.mean(axis=0)) / np.sqrt(np.diag(cov))
         vk = self._top_eigenvectors(to_correlation(cov), 3)
-        scores = pc_scores(X, 3)
+        scores = pc_scores(DataMatrix(X), 3)
         assert scores.tobytes() == (zs @ vk).tobytes()
         # the earlier body standardised by sum(z**2)/n and took eigh of the
         # symmetrised Gram; it differs only at round-off
@@ -110,17 +111,17 @@ class TestPcScores:
         X = np.random.default_rng(7).standard_normal((20, 5))
         X[3, 1] = np.nan
         with pytest.raises(DataError, match="^data matrix contains non-finite entries$"):
-            pc_scores(X, 2)
+            pc_scores(DataMatrix(X), 2)
 
     def test_tiny_units_are_a_data_error(self):
         # variances near 1e-320 pass the zero-variance rule, but the rescale
         # to the correlation overflows; estimate and analyze refuse it alike
         values = np.random.default_rng(3).standard_normal((30, 50))
         with pytest.raises(DataError, match="^matrix contains non-finite entries$"):
-            pc_scores((values - values.mean(axis=0)) * 1e-160, 2)
+            pc_scores(DataMatrix((values - values.mean(axis=0)) * 1e-160), 2)
 
     def test_k_bound(self):
-        X = np.random.default_rng(4).standard_normal((5, 10))
+        X = DataMatrix(np.random.default_rng(4).standard_normal((5, 10)))
         with pytest.raises(ConfigError):
             pc_scores(X, 5)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from actfactors import baselines
 from actfactors.baselines import (
     BaiNgVariant,
-    _bai_ng_argmin,
     bai_ng_estimate,
     ed_estimate,
     er_estimate,
@@ -111,16 +111,18 @@ class TestBaiNg:
         # independent full-precision oracle
         assert crit[2] == min(crit)
 
-    def test_zero_penalty_picks_r_max(self):
+    def test_zero_penalty_picks_r_max(self, monkeypatch):
         mu = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 30))[::-1]
         spec = Spectrum(mu, p=30, n=60)
-        assert _bai_ng_argmin(spec.eigenvalues, 60, 30, "PC", 0.0, 10) == 10
+        monkeypatch.setattr(baselines, "_penalty", lambda penalty, n, p: 0.0)
+        assert bai_ng_estimate(spec, 60, 30, BaiNgVariant("PC", "g1"), 10) == 10
 
-    def test_huge_penalty_picks_zero(self):
+    def test_huge_penalty_picks_zero(self, monkeypatch):
         mu = np.sort(np.random.default_rng(1).uniform(0.5, 5.0, 30))[::-1]
         spec = Spectrum(mu, p=30, n=60)
-        assert _bai_ng_argmin(spec.eigenvalues, 60, 30, "PC", 1e12, 10) == 0
-        assert _bai_ng_argmin(spec.eigenvalues, 60, 30, "IC", 1e12, 10) == 0
+        monkeypatch.setattr(baselines, "_penalty", lambda penalty, n, p: 1e12)
+        assert bai_ng_estimate(spec, 60, 30, BaiNgVariant("PC", "g1"), 10) == 0
+        assert bai_ng_estimate(spec, 60, 30, BaiNgVariant("IC", "g1"), 10) == 0
 
     def test_ic_zero_variance_rejected(self):
         mu = np.array([4.0, 2.0, 0.0, 0.0, 0.0])

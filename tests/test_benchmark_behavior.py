@@ -3,6 +3,9 @@ and success regimes of each estimator family, at reduced replication counts
 (the acceptance suite runs the tighter, larger versions).
 """
 
+import pytest
+
+from actfactors import spectral
 from actfactors.act import act_estimate, default_r_max
 from actfactors.baselines import ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import estimate_report
@@ -76,3 +79,17 @@ def test_estimate_report_returns_zero_on_pure_noise():
         report = estimate_report(PanelDataset(names, DataMatrix(X)), methods=("ACT",))
         zero += report["methods"]["ACT"]["k"] == 0
     assert zero / seeds >= 0.95
+
+
+@pytest.mark.parametrize("p, seed", [(100, 505), (600, 506)])
+def test_null_size_below_and_past_n(p, seed):
+    # factor-free Gaussian panels: how often ACT counts a factor that is not
+    # there, on both of spectra()'s routes (p < n, and the Gram route p > n);
+    # the bound was fixed before the first run
+    n, R = 300, 300
+    hits = 0
+    for rep in range(R):
+        X = DataMatrix(SeededRng(seed, rep).generator().standard_normal((n, p)))
+        hits += act_estimate(spectral.spectra(X)[1], n) >= 1
+    print(f"null size at n={n}, p={p}: P(k >= 1) = {hits / R:.3f} over {R} panels")
+    assert hits / R <= 0.15

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -329,6 +331,28 @@ class TestParser:
         assert {k: v for k, v in parsed.items() if k != "run"} == expected
 
 
+def readme_commands() -> list[list[str]]:
+    """Every `actfactors ...` line in README's fenced code blocks, with
+    backslash continuations joined, split into arguments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.strip().startswith("actfactors ")]
+
+
+class TestReadmeCommands:
+    def test_readme_lists_commands(self):
+        assert len(readme_commands()) >= 8
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_parses(self, argv, capsys):
+        # parse only: a renamed or removed flag makes argparse exit 2
+        try:
+            _build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}\n{capsys.readouterr().err}")
+
+
 class TestSimulateCommand:
     def test_json_and_text(self, capsys):
         rc = main(
@@ -444,3 +468,24 @@ class TestAnalyzeCommand:
         panel_path = write_panel_csv(tmp_path / "p.csv", g.standard_normal((30, 5)))
         factor_path = write_panel_csv(tmp_path / "f.csv", g.standard_normal((29, 2)))
         assert main(["analyze", panel_path, "--factors", factor_path]) == 3
+
+    def test_drop_policy_is_refused(self, tmp_path, capsys):
+        # each file would drop its own outlier rows: here panel row 11 and
+        # factor row 51, which leaves two 199-row files whose rows no longer
+        # match; median cleaning keeps every row aligned
+        g = SeededRng(61).generator()
+        X = sample_data(build_case(1, 20, 2, g), 200, g).values
+        F = X[:, :2] + 0.1 * g.standard_normal((200, 2))
+        X[10, 3] = 1e4
+        F[50, 0] = 1e4
+        panel_path = write_panel_csv(tmp_path / "p.csv", X)
+        factor_path = write_panel_csv(tmp_path / "f.csv", F, names=["f1", "f2"])
+        args = ["analyze", panel_path, "--factors", factor_path, "--k", "2", "--clean"]
+        assert main([*args, "--clean-policy", "drop"]) == 2
+        assert capsys.readouterr().err.startswith("error: analyze cleans with --clean-policy median only")
+        assert main([*args, "--clean-policy", "median"]) == 0
+        capsys.readouterr()
+        # refused before either file is read: a missing file would exit 3
+        missing = str(tmp_path / "missing.csv")
+        assert main(["analyze", missing, "--factors", missing, "--clean", "--clean-policy", "drop"]) == 2
+        capsys.readouterr()

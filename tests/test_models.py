@@ -16,13 +16,13 @@ from actfactors.spectral import eigenvalues_desc, kaiser_population_count
 
 class TestBuildCase:
     def test_case1_top_block_value(self):
-        spec = build_case(1, 100, 5, SeededRng(0))
+        spec = build_case(1, 100, 5, SeededRng(0).generator())
         assert spec.loadings[0, 0] == pytest.approx(np.sqrt(3.0 / 10.0), abs=1e-15)
         assert np.all(spec.noise_variances == 0.55**2)
 
     def test_case1_tail_magnitudes_and_signs(self):
         p, K = 40, 5
-        spec = build_case(1, p, K, SeededRng(0))
+        spec = build_case(1, p, K, SeededRng(0).generator())
         b = spec.loadings
         for j in range(1, K + 1):
             tail = b[K:, j - 1]
@@ -31,35 +31,35 @@ class TestBuildCase:
             np.testing.assert_array_equal(tail < 0, rows % K == j % K)
 
     def test_case1_deterministic(self):
-        a = build_case(1, 60, 5, SeededRng(1)).loadings
-        b = build_case(1, 60, 5, SeededRng(999)).loadings
+        a = build_case(1, 60, 5, SeededRng(1).generator()).loadings
+        b = build_case(1, 60, 5, SeededRng(999).generator()).loadings
         np.testing.assert_array_equal(a, b)
 
     def test_case3_noise_level(self):
-        spec = build_case(3, 30, 5, SeededRng(2))
+        spec = build_case(3, 30, 5, SeededRng(2).generator())
         assert np.all(spec.noise_variances == 36.0 * 5)
 
     def test_case4_unit_diagonal(self):
-        spec = build_case(4, 10, 4, SeededRng(3))
+        spec = build_case(4, 10, 4, SeededRng(3).generator())
         np.testing.assert_array_equal(np.diag(spec.loadings[:4, :]), np.ones(4))
         assert np.all(spec.noise_variances < 5.5)
 
     def test_case2_noise_range(self):
-        spec = build_case(2, 50, 5, SeededRng(4))
+        spec = build_case(2, 50, 5, SeededRng(4).generator())
         assert np.all((spec.noise_variances > 0) & (spec.noise_variances < 180.0))
 
     def test_invalid_case(self):
         with pytest.raises(ConfigError):
-            build_case(5, 10, 2, SeededRng(0))
+            build_case(5, 10, 2, SeededRng(0).generator())
 
 
 class TestSampleData:
     def test_determinism(self):
-        spec = build_case(2, 20, 3, SeededRng(7, 0))
-        a = sample_data(spec, 50, SeededRng(11, 4)).values
-        b = sample_data(spec, 50, SeededRng(11, 4)).values
+        spec = build_case(2, 20, 3, SeededRng(7, 0).generator())
+        a = sample_data(spec, 50, SeededRng(11, 4).generator()).values
+        b = sample_data(spec, 50, SeededRng(11, 4).generator()).values
         np.testing.assert_array_equal(a, b)
-        c = sample_data(spec, 50, SeededRng(11, 5)).values
+        c = sample_data(spec, 50, SeededRng(11, 5).generator()).values
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("family", ["gaussian", "uniform"])
@@ -71,7 +71,7 @@ class TestSampleData:
         b = g.uniform(-1.0, 1.0, (p, K))
         nu2 = g.uniform(0.5, 2.0, p)
         spec = FactorModelSpec(b, nu2, family=family)
-        X = sample_data(spec, n, SeededRng(22)).values
+        X = sample_data(spec, n, SeededRng(22).generator()).values
         if family == "gaussian":
             expected = np.zeros(p)
         else:
@@ -94,9 +94,9 @@ class TestSampleData:
             f = o.uniform(0.0, 2.0 * np.sqrt(3.0), (n, k))
             eps = o.uniform(0.0, 1.0, (n, p)) * (2.0 * np.sqrt(3.0 * spec.noise_variances))
         expected = (f @ spec.loadings.T + eps).tobytes()
-        assert sample_data(spec, n, SeededRng(32)).values.tobytes() == expected
+        assert sample_data(spec, n, SeededRng(32).generator()).values.tobytes() == expected
         out = np.full((n, p), np.nan)
-        X = sample_data(spec, n, SeededRng(32), out=out)
+        X = sample_data(spec, n, SeededRng(32).generator(), out=out)
         assert X.values is out
         assert out.tobytes() == expected
 
@@ -113,15 +113,15 @@ class TestSampleData:
         ids=["shape", "float32", "fortran", "strided", "list", "read-only"],
     )
     def test_bad_out_is_config_error(self, out):
-        spec = build_case(2, 5, 2, SeededRng(0))
+        spec = build_case(2, 5, 2, SeededRng(0).generator())
         with pytest.raises(ConfigError, match="out must be"):
-            sample_data(spec, 10, SeededRng(1), out=out)
+            sample_data(spec, 10, SeededRng(1).generator(), out=out)
 
     def test_uniform_factor_variance_is_one(self):
         spec = FactorModelSpec(
             np.array([[1.0], [0.0], [0.0]]), np.full(3, 1e-6), family="uniform"
         )
-        X = sample_data(spec, 20000, SeededRng(5)).values
+        X = sample_data(spec, 20000, SeededRng(5).generator()).values
         # column 1 is the factor plus negligible noise; Var(U(0, 2*sqrt(3))) = 1
         assert X[:, 0].var() == pytest.approx(1.0, rel=0.05)
 
@@ -146,36 +146,42 @@ class TestPopulationCorrelation:
             population_correlation(spec)
 
     def test_trace_is_p(self):
-        spec = build_case(4, 17, 5, SeededRng(10))
+        spec = build_case(4, 17, 5, SeededRng(10).generator())
         w = eigenvalues_desc(population_correlation(spec)).eigenvalues
         assert w.sum() == pytest.approx(17.0, abs=1e-10)
 
 
 class TestTable1Scenario:
     def test_scenario2_rank_deficiency(self):
-        spec = table1_scenario(2, 5, 30, 1.0, SeededRng(12))
+        spec = table1_scenario(2, 5, 30, 1.0, SeededRng(12).generator())
         assert np.linalg.matrix_rank(spec.loadings) == 4
         assert np.all(spec.loadings[:, 4] == 0.0)
 
     def test_scenario1_full_rank(self):
-        spec = table1_scenario(1, 5, 30, 2.0, SeededRng(13))
+        spec = table1_scenario(1, 5, 30, 2.0, SeededRng(13).generator())
         assert np.linalg.matrix_rank(spec.loadings) == 5
 
     def test_population_counts(self):
         # scenario 1 counts K; scenario 2 counts K-1
-        s1 = table1_scenario(1, 10, 100, 3.0, SeededRng(14))
+        s1 = table1_scenario(1, 10, 100, 3.0, SeededRng(14).generator())
         assert kaiser_population_count(population_correlation(s1)) == 10
-        s2 = table1_scenario(2, 10, 100, 3.0, SeededRng(15))
+        s2 = table1_scenario(2, 10, 100, 3.0, SeededRng(15).generator())
         assert kaiser_population_count(population_correlation(s2)) == 9
 
     def test_requires_two_factors(self):
         with pytest.raises(ConfigError):
-            table1_scenario(1, 1, 30, 1.0, SeededRng(16))
+            table1_scenario(1, 1, 30, 1.0, SeededRng(16).generator())
+
+    @pytest.mark.parametrize("p, sigma2", [(5, 1.0), (30, 0.0), (30, -1.0)])
+    def test_model_spec_rules_apply(self, p, sigma2):
+        # p > K and sigma2 > 0 are FactorModelSpec's own checks
+        with pytest.raises(ConfigError):
+            table1_scenario(1, 5, p, sigma2, SeededRng(16).generator())
 
 
 class TestCounterexample:
     def test_rank_and_noise_layout(self):
-        spec = intro_counterexample_spec(50, 5, 25.0, SeededRng(17))
+        spec = intro_counterexample_spec(50, 5, 25.0, SeededRng(17).generator())
         assert np.linalg.matrix_rank(spec.loadings) == 5
         assert np.all(spec.loadings[5, :] == 0.0)
         assert spec.noise_variances[5] == 25.0
@@ -184,7 +190,7 @@ class TestCounterexample:
     def test_covariance_eigenvalue_is_nu2_extra(self):
         # brute-force eigensolve: the scaled-noise coordinate decouples and
         # lands exactly at position K+1, below the K factor spikes
-        spec = intro_counterexample_spec(200, 5, 25.0, SeededRng(18))
+        spec = intro_counterexample_spec(200, 5, 25.0, SeededRng(18).generator())
         sigma = spec.loadings @ spec.loadings.T + np.diag(spec.noise_variances)
         w = np.sort(np.linalg.eigvalsh(sigma))[::-1]
         assert w[5] == pytest.approx(25.0, rel=1e-12)
@@ -192,4 +198,4 @@ class TestCounterexample:
 
     def test_precondition(self):
         with pytest.raises(ConfigError):
-            intro_counterexample_spec(6, 5, 25.0, SeededRng(19))
+            intro_counterexample_spec(6, 5, 25.0, SeededRng(19).generator())

@@ -22,7 +22,7 @@ class TestIngest:
     def test_small_numeric(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n3,4\n5,6\n")
         ds = ingest_csv(path)
-        assert ds.n == 3 and ds.p == 2
+        assert ds.data.n == 3 and ds.data.p == 2
         assert ds.names == ("a", "b")
         np.testing.assert_array_equal(ds.data.values, [[1, 2], [3, 4], [5, 6]])
 
@@ -30,7 +30,7 @@ class TestIngest:
         path = write_csv(tmp_path, "a,b,c\n1,2,3\n4,,6\n7,8,9\n")
         ds = ingest_csv(path, drop_missing=True)
         assert ds.names == ("a", "c")
-        assert ds.p == 2
+        assert ds.data.p == 2
         assert any(e["series"] == "b" and e["action"] == "dropped-missing" for e in ds.cleaning_log)
 
     def test_missing_cell_without_drop_mode(self, tmp_path):
@@ -402,7 +402,7 @@ class TestCleanOutliers:
         x = self.spiked_panel()
         ds = PanelDataset(("a", "b"), DataMatrix(x))
         cleaned = clean_outliers(ds, policy="drop")
-        assert cleaned.n == 99
+        assert cleaned.data.n == 99
         assert 500.0 not in cleaned.data.values
 
     def test_drop_policy_matches_row_set(self):

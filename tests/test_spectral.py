@@ -28,33 +28,34 @@ large_p_shapes = st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.i
 
 class TestSampleCovariance:
     def test_two_point_n_divisor(self):
-        cov = sample_covariance(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        np.testing.assert_allclose(cov, [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
+        # mean 4/3; squared deviations 16/9 + 4/9 + 4/9 = 24/9; divide by n=3 (n-1 would give 4/3)
+        cov = sample_covariance(DataMatrix(np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 2.0]])))
+        np.testing.assert_allclose(cov, np.full((2, 2), 8.0 / 9.0), atol=1e-14)
 
     def test_constant_columns(self):
-        cov = sample_covariance(np.array([[1.0, 5.0]] * 3))
+        cov = sample_covariance(DataMatrix(np.array([[1.0, 5.0]] * 3)))
         np.testing.assert_allclose(cov, np.zeros((2, 2)), atol=1e-14)
 
     def test_hand_evaluation(self):
         # mean (1, 2); deviations (-1,-2), (0,-1), (1,3); divide by n=3
-        cov = sample_covariance(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 5.0]]))
+        cov = sample_covariance(DataMatrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 5.0]])))
         expected = [[2.0 / 3.0, 5.0 / 3.0], [5.0 / 3.0, 14.0 / 3.0]]
         np.testing.assert_allclose(cov, expected, rtol=1e-14)
 
     def test_single_row_rejected(self):
         with pytest.raises(DimensionError):
-            sample_covariance(np.array([[1.0, 2.0]]))
+            sample_covariance(DataMatrix(np.array([[1.0, 2.0]])))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DataError):
-            sample_covariance(np.array([[0.0, np.nan], [1.0, 2.0]]))
+        with pytest.raises(DataError, match="non-finite"):
+            sample_covariance(DataMatrix(np.array([[0.0, np.nan], [1.0, 2.0], [3.0, 4.0]])))
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 40), p=st.integers(1, 120), seed=st.integers(0, 10_000))
+    @given(n=st.integers(3, 40), p=st.integers(2, 120), seed=st.integers(0, 10_000))
     def test_exactly_symmetric_and_equal_to_symmetrised_expression(self, n, p, seed):
         rng = np.random.default_rng(seed)
         arr = rng.standard_normal((n, p)) * rng.uniform(0.1, 1e3, p) + rng.uniform(-5.0, 5.0, p)
-        cov = sample_covariance(arr)
+        cov = sample_covariance(DataMatrix(arr))
         np.testing.assert_array_equal(cov, cov.T)
         # oracle: the earlier expression, with its symmetrising pass
         centered = arr - arr.mean(axis=0)
@@ -127,7 +128,7 @@ class TestEigenvaluesDesc:
         # n-1 < p: at least p - n + 1 exact zeros after snapping
         rng = np.random.default_rng(3)
         n, p = 5, 9
-        spec = eigenvalues_desc(sample_covariance(rng.standard_normal((n, p))), n)
+        spec = eigenvalues_desc(sample_covariance(DataMatrix(rng.standard_normal((n, p)))), n)
         assert np.all(spec.eigenvalues >= 0.0)
         assert np.count_nonzero(spec.eigenvalues == 0.0) >= p - n + 1
 
@@ -137,7 +138,7 @@ class TestEigenvaluesDesc:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 30))
         p = int(rng.integers(2, 12))
-        X = rng.standard_normal((n, p)) * rng.uniform(0.5, 5.0, p)
+        X = DataMatrix(rng.standard_normal((n, p)) * rng.uniform(0.5, 5.0, p))
         corr_spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
         assert np.all(corr_spec.eigenvalues >= 0.0)
         assert abs(corr_spec.eigenvalues.sum() - p) <= 1e-8 * p
@@ -386,7 +387,7 @@ class TestKaiserCounts:
         counts = []
         for rep in range(50):
             rng = np.random.default_rng(900 + rep)
-            X = rng.standard_normal((n, p))
+            X = DataMatrix(rng.standard_normal((n, p)))
             spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
             counts.append(naive_kaiser_estimate(spec))
         assert np.median(counts) > p / 10
