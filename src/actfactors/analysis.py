@@ -55,16 +55,13 @@ def ols_r2(y: np.ndarray, F: np.ndarray) -> float:
         raise DataError(f"series has {y.shape[0]} rows, factors have {n}")
     if not k < n:
         raise ConfigError(f"need fewer regressors than observations, got k={k}, n={n}")
-    design = np.column_stack([np.ones(n), F])
-    # lstsq's rcond=None cut-off is matrix_rank's: eps * max(n, k+1) * s_1
-    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < k + 1:
-        raise DataError("design matrix is rank deficient")
-    resid = y - design @ beta
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    # the basis's rank cut-off is lstsq's rcond=None: eps * max(n, k+1) * s_1
+    q = _orthonormal_basis(np.column_stack([np.ones(n), F]), "design matrix")
+    yc = y - y.mean()
+    ss_tot = float(np.sum(yc**2))
     if ss_tot == 0.0:
         return 1.0  # constant series is fit exactly by the intercept
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
+    r2 = float(np.sum((q.T @ yc) ** 2)) / ss_tot
     return float(min(1.0, max(0.0, r2)))
 
 
@@ -84,21 +81,16 @@ def projection_distance(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     """Operator and Frobenius norms of P_A - P_B, the difference of the
     orthogonal projectors onto the column spans of A and B.
 
-    Computed inside the joint span, so the cost scales with the column
-    counts rather than the ambient dimension.
+    From Ra = (I - P_A) Q_B and Rb = (I - P_B) Q_A, for orthonormal bases
+    Q_A, Q_B: the operator norm is max(|Ra|, |Rb|) (Kato) and the squared
+    Frobenius norm is |Ra|_F^2 + |Rb|_F^2, so the cost scales with the
+    column counts rather than the ambient dimension.
     """
     qa = _orthonormal_basis(A, "first matrix")
     qb = _orthonormal_basis(B, "second matrix")
     if qa.shape[0] != qb.shape[0]:
         raise DataError("matrices must have the same number of rows")
-    joint = np.concatenate([qa, qb], axis=1)
-    u, s, _ = np.linalg.svd(joint, full_matrices=False)
-    tol = s[0] * max(joint.shape) * np.finfo(float).eps
-    w = u[:, s > tol]
-    wa = w.T @ qa
-    wb = w.T @ qb
-    diff = wa @ wa.T - wb @ wb.T
-    eig = np.linalg.eigvalsh((diff + diff.T) / 2.0)
-    op = float(np.abs(eig).max())
-    frob = float(np.sqrt(np.sum(eig**2)))
-    return op, frob
+    ra = qb - qa @ (qa.T @ qb)
+    rb = qa - qb @ (qb.T @ qa)
+    op = max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2))
+    return float(op), float(np.hypot(np.linalg.norm(ra), np.linalg.norm(rb)))

@@ -81,12 +81,9 @@ def gr_estimate(spec: Spectrum, r_max: int) -> int:
     v = _tail_sums(spec.eigenvalues)[: r_max + 2]
     if v[r_max + 1] <= 0.0:
         raise NumericalDomain(f"tail sum V_{r_max + 1} must be positive")
-    ratios = v[:-1] / v[1:]
-    if np.any(ratios <= 0.0):
-        raise NumericalDomain("tail sums must be positive for the growth ratio")
-    logs = np.log(ratios)
-    if np.any(logs[1:] == 0.0):
-        raise NumericalDomain("consecutive tail sums are equal; growth ratio undefined")
+    # a non-increasing spectrum with V_{r_max+1} > 0 is positive up to that
+    # index, so each ratio V_{i-1}/V_i is at least 1 + 1/(p-1) and each log positive
+    logs = np.log(v[:-1] / v[1:])
     crit = logs[:-1] / logs[1:]
     return int(np.argmax(crit)) + 1
 

@@ -17,7 +17,6 @@ from .errors import ActFactorsError, ConfigError, DataError
 from .harness import (
     METHODS,
     ExperimentConfig,
-    VALID_METHODS,
     canonical_methods,
     check_method_options,
     render_table1_text,
@@ -152,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # no default here: the action is shared, so each handler resolves its own
     methods.add_argument("--methods", nargs="+", default=None, metavar="M",
                          help=f"methods to run (default: estimate {' '.join(DEFAULT_METHODS)}, simulate "
-                              f"{' '.join(ExperimentConfig.methods)}; choices: {', '.join(VALID_METHODS)})")
+                              f"{' '.join(ExperimentConfig.methods)}; choices: {', '.join(METHODS)})")
     methods.add_argument("--r-max", type=int, default=None, help="search bound (default min(p/2, (n-1)/2, 50))")
     methods.add_argument("--ed-threshold", type=float, default=None,
                          help="gap threshold for ED (required when ED is requested)")
@@ -160,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     panel = argparse.ArgumentParser(add_help=False)
     panel.add_argument("csv")
     panel.add_argument("--clean", action="store_true", help="apply outlier cleaning first")
-    panel.add_argument("--clean-policy", choices=["median", "drop"], default="median")
     panel.add_argument("--drop-missing", action="store_true",
                        help="drop series containing missing observations")
     out = argparse.ArgumentParser(add_help=False)
@@ -174,6 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="estimate the number of factors in a CSV panel")
     est.add_argument("--basis", choices=["cov", "corr"], default=None,
                      help="force every method onto one spectrum (default: per-method convention)")
+    est.add_argument("--clean-policy", choices=["median", "drop"], default="median")
     est.set_defaults(run=_cmd_estimate)
 
     sim = sub.add_parser("simulate", parents=[methods, out],
@@ -200,6 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", parents=[panel, out],
                         help="variance explained, factor regressions, subspace distance")
     an.add_argument("--factors", required=True, help="CSV of observed factor series")
+    an.add_argument("--clean-policy", choices=["median"], default="median",
+                    help="median only: drop would remove different rows from the panel and the factors")
     an.add_argument("--k", type=int, default=None,
                     help="number of PC factors (default: the adjusted-threshold estimate)")
     an.set_defaults(run=_cmd_analyze)
@@ -252,9 +253,6 @@ def _cmd_table1(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    if args.clean and args.clean_policy == "drop":
-        raise ConfigError("analyze cleans with --clean-policy median only: drop would remove different rows "
-                          "from the panel and the factors")
     report = analyze_report(_panel(args, args.csv), _panel(args, args.factors), k=args.k)
     _emit(json.dumps(report, indent=2), args.out)
 

@@ -27,7 +27,6 @@ from .spectral import Spectrum, kaiser_population_count, naive_kaiser_estimate, 
 
 __all__ = [
     "METHODS",
-    "VALID_METHODS",
     "canonical_methods",
     "check_method_options",
     "ExperimentConfig",
@@ -64,7 +63,6 @@ METHODS = {
         for name in ("IC1", "IC2", "IC3", "PC1", "PC2", "PC3")
     },
 }
-VALID_METHODS = tuple(METHODS)
 
 
 def canonical_methods(methods, ed_threshold: float | None) -> tuple[str, ...]:
@@ -74,7 +72,7 @@ def canonical_methods(methods, ed_threshold: float | None) -> tuple[str, ...]:
     for m in methods:
         name = str(m).strip().upper()
         if name not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")
+            raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
         if name in out:
             raise ConfigError(f"method {name} is listed more than once")
         out.append(name)
@@ -173,22 +171,34 @@ class CellPlan:
 
 @dataclass
 class MethodTally:
+    """One method's report entry, fields in the report's key order: counts;
+    percentages of the successful replications, stored exact (the text table
+    rounds them to 0.1); the average count rounded to 0.01; shares None when
+    every replication failed; and each distinct failure message once, sorted."""
+
     true_count: int = 0
     over_count: int = 0
     under_count: int = 0
     failed_count: int = 0
-    khat_sum: int = 0
-    failure_messages: list = field(default_factory=list)
+    true_pct: float | None = None
+    over_pct: float | None = None
+    under_pct: float | None = None
+    ave_k: float | None = None
+    failures: list = field(default_factory=list)
 
     @classmethod
     def of(cls, outcomes: list, k_true: int) -> MethodTally:
-        """Tally one method's outcomes, keeping each failure message once."""
+        """Tally one method's outcomes: counts, or "Type: message" failures."""
         ks = [o for o in outcomes if not isinstance(o, str)]
-        failures = [o for o in outcomes if isinstance(o, str)]
+        failures = sorted({o for o in outcomes if isinstance(o, str)})
+        if not ks:
+            return cls(failed_count=len(outcomes), failures=failures)
+        true, over, under = sum(k == k_true for k in ks), sum(k > k_true for k in ks), sum(k < k_true for k in ks)
+        succ = len(ks)
         return cls(
-            true_count=sum(k == k_true for k in ks), over_count=sum(k > k_true for k in ks),
-            under_count=sum(k < k_true for k in ks), failed_count=len(failures), khat_sum=sum(ks),
-            failure_messages=list(dict.fromkeys(failures)),
+            true_count=true, over_count=over, under_count=under, failed_count=len(outcomes) - succ,
+            true_pct=100.0 * true / succ, over_pct=100.0 * over / succ, under_pct=100.0 * under / succ,
+            ave_k=round(sum(ks) / succ, 2), failures=failures,
         )
 
 
@@ -307,42 +317,22 @@ class ReplicationReport:
 
     config: dict
     cells: list
-    schema: str = REPORT_SCHEMA
 
     def to_json(self) -> str:
-        return json.dumps({"schema": self.schema, "config": self.config, "cells": self.cells}, indent=2)
+        return json.dumps({"schema": REPORT_SCHEMA, "config": self.config, "cells": self.cells}, indent=2)
 
 
 def aggregate(results: list[CellResult], config: ExperimentConfig) -> ReplicationReport:
-    """Fold tallies into percentage shares.
-
-    Percentages are over the successful replications and are stored exact
-    (they sum to 100 up to float division); text rendering rounds them to
-    0.1. The average count is rounded to 0.01. Failures are reported
-    separately and never folded into the shares.
-    """
+    """Write each cell as asdict(plan), with case_id as "case" and each
+    method as asdict(tally), its failures left out when there are none."""
     cells = []
     for res in results:
-        plan = res.plan
-        per_method = {}
-        for m in plan.methods:
-            t = res.tallies[m]
-            succ = plan.replications - t.failed_count
-            entry = {
-                "true_count": t.true_count,
-                "over_count": t.over_count,
-                "under_count": t.under_count,
-                "failed_count": t.failed_count,
-                "true_pct": 100.0 * t.true_count / succ if succ else None,
-                "over_pct": 100.0 * t.over_count / succ if succ else None,
-                "under_pct": 100.0 * t.under_count / succ if succ else None,
-                "ave_k": round(t.khat_sum / succ, 2) if succ else None,
-            }
-            if t.failure_messages:
-                entry["failures"] = sorted(t.failure_messages)
-            per_method[m] = entry
-        cell = asdict(plan)
-        cells.append({"case": cell.pop("case_id"), **cell, "methods": per_method})
+        cell = asdict(res.plan)
+        methods = {
+            m: {key: value for key, value in asdict(res.tallies[m]).items() if key != "failures" or value}
+            for m in cell.pop("methods")
+        }
+        cells.append({"case": cell.pop("case_id"), **cell, "methods": methods})
     cfg = asdict(config)
     cfg["seed_manifest"] = {
         "master_seed": config.master_seed,

@@ -185,11 +185,11 @@ def table1_scenario(
     """Population designs behind the above-one eigenvalue counts: K-1 loading
     columns iid U(-1,1); the K-th column is U(-1,1) (scenario 1, full rank)
     or zero (scenario 2, rank K-1). Homogeneous noise variance sigma2.
-    FactorModelSpec refuses p <= K and sigma2 <= 0."""
+    FactorModelSpec refuses sigma2 <= 0."""
     if scenario not in (1, 2):
         raise ConfigError(f"scenario must be 1 or 2, got {scenario}")
-    if K < 2:
-        raise ConfigError(f"need K >= 2, got {K}")
+    if not p > K >= 2:
+        raise ConfigError(f"need p > K >= 2, got p={p}, K={K}")
     b = rng.uniform(-1.0, 1.0, (p, K))
     if scenario == 2:
         b[:, K - 1] = 0.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from actfactors import baselines
 from actfactors.baselines import (
@@ -53,6 +53,22 @@ class TestGrowthRatio:
     def test_zero_tail_rejected(self):
         with pytest.raises(NumericalDomain):
             gr_estimate(spectrum([4, 2, 1, 0, 0]), r_max=3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(1e-6, 1.0)), min_size=4, max_size=30),
+        negative_tail=st.booleans(),
+        exponent=st.integers(-300, 300),
+        r_max=st.integers(1, 28),
+    )
+    def test_positive_tail_sum_is_the_only_domain_check(self, values, negative_tail, exponent, r_max):
+        # ties, zero tails, a round-off negative and extreme scales: once
+        # V_{r_max+1} > 0, every ratio of tail sums exceeds 1 and every log is positive
+        lam = sorted(values, reverse=True) + ([-1e-12 * max(values)] if negative_tail else [])
+        lam = np.array(lam) * 10.0**exponent
+        r_max = min(r_max, lam.size - 2)
+        assume(math.fsum(lam[r_max + 1 :]) > 0.0)
+        assert 1 <= gr_estimate(spectrum(lam), r_max) <= r_max
 
 
 class TestEigenvalueDifference:

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,16 @@ def small_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def plan_of(cell: dict) -> CellPlan:
+    """The plan a report cell was written from, rebuilt by keyword."""
+    return CellPlan(
+        case_id=cell["case"], family=cell["family"], p=cell["p"], n=cell["n"], k_true=cell["k_true"],
+        replications=cell["replications"], r_max=cell["r_max"], ed_threshold=cell["ed_threshold"],
+        on_r_min=cell["on_r_min"], fresh_loadings=cell["fresh_loadings"], cell_seed=cell["cell_seed"],
+        methods=tuple(cell["methods"]),
+    )
 
 
 class TestConfigValidation:
@@ -111,8 +122,8 @@ class TestRunCell:
     def test_tally_of_outcomes(self):
         outcomes = [3, "DataError: b", 4, 2, "DataError: b", "ConfigError: a", 3]
         assert MethodTally.of(outcomes, 3) == MethodTally(
-            true_count=2, over_count=1, under_count=1, failed_count=3, khat_sum=12,
-            failure_messages=["DataError: b", "ConfigError: a"],
+            true_count=2, over_count=1, under_count=1, failed_count=3, true_pct=50.0, over_pct=25.0,
+            under_pct=25.0, ave_k=3.0, failures=["ConfigError: a", "DataError: b"],
         )
         assert MethodTally.of([], 3) == MethodTally()
 
@@ -208,12 +219,12 @@ class TestDeterminism:
             })
         for m, t in run_cell(plan).tallies.items():
             ks = [k[m] for k in fresh]
-            assert (t.true_count, t.over_count, t.under_count, t.failed_count, t.khat_sum) == (
+            assert (t.true_count, t.over_count, t.under_count, t.failed_count, t.ave_k) == (
                 ks.count(plan.k_true),
                 sum(k > plan.k_true for k in ks),
                 sum(k < plan.k_true for k in ks),
                 0,
-                sum(ks),
+                round(sum(ks) / len(ks), 2),
             )
 
     def test_master_seed_changes_results(self):
@@ -231,7 +242,7 @@ class TestDeterminism:
 class TestAggregate:
     def test_rounding_examples(self):
         plan = _plans(small_config(replications=200, methods=("ACT",)))[0]
-        tally = MethodTally(true_count=198, over_count=0, under_count=2, khat_sum=198 * 3 + 2 * 2)
+        tally = MethodTally.of([3] * 198 + [2] * 2, 3)
         from actfactors.harness import CellResult
 
         report = aggregate([CellResult(plan, {"ACT": tally})], small_config(replications=200, methods=("ACT",)))
@@ -242,7 +253,7 @@ class TestAggregate:
 
     def test_ave_rounding(self):
         plan = _plans(small_config(replications=3, methods=("ACT",)))[0]
-        tally = MethodTally(true_count=2, under_count=1, khat_sum=5 + 5 + 4)
+        tally = MethodTally.of([5, 5, 4], 5)
         from actfactors.harness import CellResult
 
         report = aggregate([CellResult(plan, {"ACT": tally})], small_config(replications=3, methods=("ACT",)))
@@ -275,13 +286,18 @@ class TestReportShape:
         for plan, cell in zip(plans, cells, strict=True):
             assert list(cell) == expected
             assert list(cell["methods"]) == list(config.methods)
-            rebuilt = CellPlan(
-                case_id=cell["case"], family=cell["family"], p=cell["p"], n=cell["n"], k_true=cell["k_true"],
-                replications=cell["replications"], r_max=cell["r_max"], ed_threshold=cell["ed_threshold"],
-                on_r_min=cell["on_r_min"], fresh_loadings=cell["fresh_loadings"], cell_seed=cell["cell_seed"],
-                methods=tuple(cell["methods"]),
-            )
-            assert rebuilt == plan
+            assert plan_of(cell) == plan
+
+    @pytest.mark.parametrize("name", ["simulations.json", "simulations_rmax8.json"])
+    def test_published_grid_reproduces(self, name):
+        # one committed cell (case 1, gaussian, p = 100; R = 1000) rerun from
+        # its plan: a change to the counts or the report format shows here
+        doc = json.loads((Path(__file__).resolve().parents[1] / "results" / name).read_text())
+        config = ExperimentConfig(**{key: value for key, value in doc["config"].items() if key != "seed_manifest"})
+        (cell,) = [c for c in doc["cells"] if (c["case"], c["family"], c["p"]) == (1, "gaussian", 100)]
+        report = json.loads(aggregate([run_cell(plan_of(cell))], config).to_json())
+        assert report["cells"] == [cell]
+        assert report["config"] == doc["config"]
 
     def test_on2_is_on_with_shared_r_min(self):
         report = run_experiment(small_config(replications=4, methods=("ON", "ON2"), on_r_min=3))

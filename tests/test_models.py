@@ -172,9 +172,9 @@ class TestTable1Scenario:
         with pytest.raises(ConfigError):
             table1_scenario(1, 1, 30, 1.0, SeededRng(16).generator())
 
-    @pytest.mark.parametrize("p, sigma2", [(5, 1.0), (30, 0.0), (30, -1.0)])
+    @pytest.mark.parametrize("p, sigma2", [(5, 1.0), (-1, 1.0), (30, 0.0), (30, -1.0)])
     def test_model_spec_rules_apply(self, p, sigma2):
-        # p > K and sigma2 > 0 are FactorModelSpec's own checks
+        # p > K is checked before the loading draw, sigma2 > 0 by FactorModelSpec
         with pytest.raises(ConfigError):
             table1_scenario(1, 5, p, sigma2, SeededRng(16).generator())
 
