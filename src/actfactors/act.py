@@ -125,8 +125,7 @@ def adjust_eigenvalues(spec: Spectrum, n: int, r_max: int | None = None) -> Adju
     r_max = default_r_max(p, n) if r_max is None else r_max
     if not 1 <= r_max <= p - 2:
         raise ConfigError(f"r_max={r_max} must satisfy 1 <= r_max <= p-2={p - 2}")
-    if n < 2:
-        raise ConfigError(f"adjustment needs n >= 2, got {n}")
+    threshold = act_threshold(p, n)
 
     work = spec.eigenvalues.copy()
     ties = np.flatnonzero(work[1 : r_max + 1] >= work[:r_max])
@@ -146,7 +145,7 @@ def adjust_eigenvalues(spec: Spectrum, n: int, r_max: int | None = None) -> Adju
         _check_point(int(bad[0]) + 1, work, z[bad[0]])
     j = np.arange(1, r_max + 1)
     adjusted = -1.0 / _stieltjes(work, j, z, (p - j) / (n - 1))
-    return AdjustedSpectrum(adjusted, act_threshold(p, n), jittered=ties.size > 0)
+    return AdjustedSpectrum(adjusted, threshold, jittered=ties.size > 0)
 
 
 def act_select(adjusted: AdjustedSpectrum) -> int:

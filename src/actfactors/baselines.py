@@ -59,8 +59,9 @@ def _tail_sums(lam: np.ndarray) -> np.ndarray:
 
 
 def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den where den > 0, +inf where it is not."""
-    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
+    """num / den where den > 0, +inf where it is not or where the quotient overflows."""
+    with np.errstate(over="ignore"):
+        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
 
 
 def er_estimate(spec: Spectrum, r_max: int) -> int:
@@ -81,15 +82,18 @@ def gr_estimate(spec: Spectrum, r_max: int) -> int:
     v = _tail_sums(spec.eigenvalues)[: r_max + 2]
     if v[r_max + 1] <= 0.0:
         raise NumericalDomain(f"tail sum V_{r_max + 1} must be positive")
-    # a non-increasing spectrum with V_{r_max+1} > 0 is positive up to that
-    # index, so each ratio V_{i-1}/V_i is at least 1 + 1/(p-1) and each log positive
-    logs = np.log(v[:-1] / v[1:])
+    # a non-increasing spectrum with V_{r_max+1} > 0 is positive up to that index, so each
+    # log V_{i-1} - log V_i is positive; not log(V_{i-1}/V_i), whose ratio can overflow
+    logs = np.log(v[:-1]) - np.log(v[1:])
     crit = logs[:-1] / logs[1:]
     return int(np.argmax(crit)) + 1
 
 
 def ed_estimate(spec: Spectrum, threshold: float, r_max: int) -> int:
-    """max{i <= r_max : lambda_i - lambda_{i+1} >= threshold}, empty set -> 0."""
+    """max{i <= r_max : lambda_i - lambda_{i+1} >= threshold}, empty set -> 0.
+    There is no default threshold: None is a ConfigError."""
+    if threshold is None:
+        raise ConfigError("ED needs an explicit gap threshold (ed_threshold, --ed-threshold)")
     if not threshold > 0.0:
         raise ConfigError(f"gap threshold must be positive, got {threshold}")
     _check_r_max(r_max, spec.p - 1, "eigenvalue difference")

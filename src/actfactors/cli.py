@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -47,7 +48,7 @@ def estimate_report(
     are recorded per method and do not abort the run."""
     X = ds.data
     n, p = X.n, X.p
-    methods = canonical_methods(methods, ed_threshold)
+    methods = canonical_methods(methods)
     if basis not in (None, "cov", "corr"):
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
     r_max = default_r_max(p, n) if r_max is None else r_max
@@ -64,7 +65,6 @@ def estimate_report(
             results[m] = {"k": estimate(by_basis[basis or default_basis], n, r_max, ed_threshold, on_r_min)}
         except ActFactorsError as exc:
             results[m] = {"error": f"{type(exc).__name__}: {exc}"}
-    adjusted_info = {}
     try:
         adj = adjust_eigenvalues(corr_spec, n, r_max)
         adjusted_info = {
@@ -147,19 +147,21 @@ def _emit(doc: str, out_path: str | None, stdout_text: str | None = None) -> Non
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    methods = argparse.ArgumentParser(add_help=False)
-    # no default here: the action is shared, so each handler resolves its own
-    methods.add_argument("--methods", nargs="+", default=None, metavar="M",
+    # an option that feeds a library parameter takes that parameter's name as
+    # its dest and declares no default: left out, it is absent from the
+    # namespace, and _forward lets the library's own default apply
+    unset = argparse.SUPPRESS
+    methods = argparse.ArgumentParser(add_help=False, argument_default=unset)
+    methods.add_argument("--methods", nargs="+", metavar="M",
                          help=f"methods to run (default: estimate {' '.join(DEFAULT_METHODS)}, simulate "
                               f"{' '.join(ExperimentConfig.methods)}; choices: {', '.join(METHODS)})")
-    methods.add_argument("--r-max", type=int, default=None, help="search bound (default min(p/2, (n-1)/2, 50))")
-    methods.add_argument("--ed-threshold", type=float, default=None,
-                         help="gap threshold for ED (required when ED is requested)")
-    methods.add_argument("--on-r-min", type=int, default=0, help="lower search bound for ON")
+    methods.add_argument("--r-max", type=int, help="search bound (default min(p/2, (n-1)/2, 50))")
+    methods.add_argument("--ed-threshold", type=float, help="gap threshold for ED (required when ED is requested)")
+    methods.add_argument("--on-r-min", type=int, help="lower search bound for ON")
     panel = argparse.ArgumentParser(add_help=False)
     panel.add_argument("csv")
     panel.add_argument("--clean", action="store_true", help="apply outlier cleaning first")
-    panel.add_argument("--drop-missing", action="store_true",
+    panel.add_argument("--drop-missing", action="store_true", default=unset,
                        help="drop series containing missing observations")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -168,92 +170,77 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Factor-count estimation and Monte Carlo harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", parents=[panel, methods, out],
+    est = sub.add_parser("estimate", parents=[panel, methods, out], argument_default=unset,
                          help="estimate the number of factors in a CSV panel")
-    est.add_argument("--basis", choices=["cov", "corr"], default=None,
+    est.add_argument("--basis", choices=["cov", "corr"],
                      help="force every method onto one spectrum (default: per-method convention)")
-    est.add_argument("--clean-policy", choices=["median", "drop"], default="median")
+    est.add_argument("--clean-policy", dest="policy", choices=["median", "drop"])
     est.set_defaults(run=_cmd_estimate)
 
-    sim = sub.add_parser("simulate", parents=[methods, out],
+    sim = sub.add_parser("simulate", parents=[methods, out], argument_default=unset,
                          help="run the replication harness on synthetic panels")
-    sim.add_argument("--case", type=int, choices=[1, 2, 3, 4], required=True, nargs="+")
-    sim.add_argument("--p", type=int, nargs="+", required=True)
-    sim.add_argument("--n", type=int, nargs="+", required=True)
-    sim.add_argument("--k", type=int, default=ExperimentConfig.k_true, help="true number of factors")
-    sim.add_argument("--reps", type=int, default=ExperimentConfig.replications)
-    sim.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
+    sim.add_argument("--case", dest="cases", type=int, choices=[1, 2, 3, 4], required=True, nargs="+")
+    sim.add_argument("--p", dest="p_values", type=int, nargs="+", required=True)
+    sim.add_argument("--n", dest="n_values", type=int, nargs="+", required=True)
+    sim.add_argument("--k", dest="k_true", type=int, help="true number of factors")
+    sim.add_argument("--reps", dest="replications", type=int)
+    sim.add_argument("--seed", dest="master_seed", type=int)
     sim.add_argument("--family", choices=["gaussian", "uniform", "both"], default="gaussian")
-    sim.add_argument("--fixed-loadings", action="store_true",
+    sim.add_argument("--fixed-loadings", dest="fresh_loadings", action="store_false",
                      help="draw loadings once per cell instead of per replication")
-    sim.add_argument("--workers", type=int, default=ExperimentConfig.workers)
-    sim.add_argument("--text-table", action="store_true", help="print the aligned text table")
+    sim.add_argument("--workers", type=int)
+    sim.add_argument("--text-table", action="store_true", default=False, help="print the aligned text table")
     sim.set_defaults(run=_cmd_simulate)
 
-    t1 = sub.add_parser("table1", parents=[out], help="population above-one eigenvalue counts per scenario")
-    t1.add_argument("--seeds", type=int, default=20)
-    t1.add_argument("--seed", type=int, default=0, help="master seed")
-    t1.add_argument("--text-table", action="store_true")
+    t1 = sub.add_parser("table1", parents=[out], argument_default=unset,
+                        help="population above-one eigenvalue counts per scenario")
+    t1.add_argument("--seeds", type=int)
+    t1.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    t1.add_argument("--text-table", action="store_true", default=False)
     t1.set_defaults(run=_cmd_table1)
 
-    an = sub.add_parser("analyze", parents=[panel, out],
+    an = sub.add_parser("analyze", parents=[panel, out], argument_default=unset,
                         help="variance explained, factor regressions, subspace distance")
     an.add_argument("--factors", required=True, help="CSV of observed factor series")
-    an.add_argument("--clean-policy", choices=["median"], default="median",
+    an.add_argument("--clean-policy", dest="policy", choices=["median"],
                     help="median only: drop would remove different rows from the panel and the factors")
-    an.add_argument("--k", type=int, default=None,
-                    help="number of PC factors (default: the adjusted-threshold estimate)")
+    an.add_argument("--k", type=int, help="number of PC factors (default: the adjusted-threshold estimate)")
     an.set_defaults(run=_cmd_analyze)
     return ap
 
 
+def _forward(fn, args, *positional, **fixed):
+    """fn(*positional, **fixed), plus each option set on the command line whose
+    dest names one of fn's other parameters."""
+    names = list(inspect.signature(fn).parameters)[len(positional):]
+    return fn(*positional, **{k: v for k, v in vars(args).items() if k in names}, **fixed)
+
+
 def _panel(args, path) -> PanelDataset:
-    ds = ingest_csv(path, drop_missing=args.drop_missing)
-    return clean_outliers(ds, policy=args.clean_policy) if args.clean else ds
+    ds = _forward(ingest_csv, args, path)
+    return _forward(clean_outliers, args, ds) if args.clean else ds
 
 
 def _cmd_estimate(args) -> None:
-    report = estimate_report(
-        _panel(args, args.csv),
-        methods=args.methods or DEFAULT_METHODS,
-        r_max=args.r_max,
-        ed_threshold=args.ed_threshold,
-        on_r_min=args.on_r_min,
-        basis=args.basis,
-    )
+    report = _forward(estimate_report, args, _panel(args, args.csv))
     _emit(json.dumps(report, indent=2), args.out)
 
 
 def _cmd_simulate(args) -> None:
     families = ("gaussian", "uniform") if args.family == "both" else (args.family,)
-    config = ExperimentConfig(
-        cases=tuple(args.case),
-        p_values=tuple(args.p),
-        n_values=tuple(args.n),
-        k_true=args.k,
-        families=families,
-        replications=args.reps,
-        master_seed=args.seed,
-        methods=args.methods or ExperimentConfig.methods,
-        r_max=args.r_max,
-        ed_threshold=args.ed_threshold,
-        on_r_min=args.on_r_min,
-        fresh_loadings=not args.fixed_loadings,
-        workers=args.workers,
-    )
-    report = run_experiment(config)
+    report = run_experiment(_forward(ExperimentConfig, args, families=families))
     text = render_text_table(report) if args.text_table else None
     _emit(report.to_json(), args.out, stdout_text=text)
 
 
 def _cmd_table1(args) -> None:
-    table = run_table1(seeds=args.seeds, master_seed=args.seed)
+    table = _forward(run_table1, args)
     text = render_table1_text(table) if args.text_table else None
     _emit(json.dumps(table, indent=2), args.out, stdout_text=text)
 
 
 def _cmd_analyze(args) -> None:
-    report = analyze_report(_panel(args, args.csv), _panel(args, args.factors), k=args.k)
+    report = _forward(analyze_report, args, _panel(args, args.csv), _panel(args, args.factors))
     _emit(json.dumps(report, indent=2), args.out)
 
 

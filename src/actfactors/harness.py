@@ -65,9 +65,8 @@ METHODS = {
 }
 
 
-def canonical_methods(methods, ed_threshold: float | None) -> tuple[str, ...]:
-    """Upper-cased, stripped method names, each known and listed once; ED
-    needs an explicit gap threshold."""
+def canonical_methods(methods) -> tuple[str, ...]:
+    """Upper-cased, stripped method names, each known and listed once."""
     out = []
     for m in methods:
         name = str(m).strip().upper()
@@ -78,8 +77,6 @@ def canonical_methods(methods, ed_threshold: float | None) -> tuple[str, ...]:
         out.append(name)
     if not out:
         raise ConfigError("method list must not be empty")
-    if "ED" in out and ed_threshold is None:
-        raise ConfigError("method ED requires an explicit ed_threshold (--ed-threshold)")
     return tuple(out)
 
 
@@ -123,7 +120,7 @@ class ExperimentConfig:
         object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "methods", canonical_methods(self.methods, self.ed_threshold))
+        object.__setattr__(self, "methods", canonical_methods(self.methods))
         if self.k_true < 1:
             raise ConfigError(f"need K >= 1 true factors, got K={self.k_true}")
         if self.replications < 1:

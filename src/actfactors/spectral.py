@@ -30,10 +30,12 @@ __all__ = [
 KAISER_TOL = 1e-10
 
 
-def _as_matrix(values, what: str = "matrix") -> np.ndarray:
+def _as_matrix(values, what: str = "matrix", square: bool = False) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{what} must be 2-dimensional, got shape {arr.shape}")
+    if square and arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -132,7 +134,7 @@ def standard_deviations(d: np.ndarray) -> np.ndarray:
 
 def to_correlation(M: np.ndarray) -> np.ndarray:
     """Rescale a covariance to unit diagonal: D^{-1/2} M D^{-1/2}, D = diag(M)."""
-    corr = _correlate_in_place(np.array(_as_matrix(M, "covariance matrix")))
+    corr = _correlate_in_place(np.array(_as_matrix(M, "covariance matrix", square=True)))
     # M may come from outside, so it is not trusted to be symmetric
     return (corr + corr.T) / 2.0
 
@@ -159,9 +161,7 @@ def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
     PSD tolerance and the positive dust left on rank-deficient matrices,
     so a rank-r input reports exactly p - r zeros.
     """
-    arr = _as_matrix(M, "matrix")
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {arr.shape}")
+    arr = _as_matrix(M, "matrix", square=True)
     scale = np.abs(arr).max() if arr.size else 0.0
     if not np.isfinite(scale):
         raise DataError("matrix contains non-finite entries")

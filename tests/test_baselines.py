@@ -34,6 +34,21 @@ class TestEigenvalueRatio:
             er_estimate(spectrum([2, 1]), r_max=2)
 
 
+@pytest.mark.parametrize(
+    "estimate, values",
+    [
+        (lambda s: gr_estimate(s, r_max=3), [1e300, 1e300, 1e-300, 1e-300, 1e-300, 1e-300]),
+        (lambda s: er_estimate(s, r_max=3), [1e300, 1e300, 1e-300, 1e-300, 1e-300, 1e-300]),
+        (lambda s: on_estimate(s, r_min=0, r_max=3), [1e300, 1e299, 1e-300, 0.0, 0.0, 0.0]),
+    ],
+    ids=["GR", "ER", "ON"],
+)
+def test_ratio_past_the_float_range_is_infinite(estimate, values):
+    # lambda_2 / lambda_3 (or V_1 / V_2) overflows: it counts as +inf, like a
+    # zero denominator, without numpy's overflow warning (an error under the test warning filter)
+    assert estimate(spectrum(values)) == 2
+
+
 class TestGrowthRatio:
     def test_hand_evaluation(self):
         # V = (13.9, 5.9, 1.9, 0.9, 0.4); criterion ~ (0.756, 1.517, 0.921)
@@ -77,6 +92,10 @@ class TestEigenvalueDifference:
 
     def test_no_gap_above(self):
         assert ed_estimate(spectrum([1.2, 1.1, 1.05, 1.0]), threshold=1.0, r_max=3) == 0
+
+    def test_threshold_is_required(self):
+        with pytest.raises(ConfigError, match="explicit gap threshold"):
+            ed_estimate(spectrum([8, 4, 1, 0.5, 0.4]), threshold=None, r_max=4)
 
     def test_takes_max_not_first(self):
         # gaps (2, 0.1, 1.5, 0.1)

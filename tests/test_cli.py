@@ -14,9 +14,9 @@ from actfactors.act import act_estimate, adjust_eigenvalues, default_r_max
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
-from actfactors.harness import METHODS, ExperimentConfig
+from actfactors.harness import METHODS, ExperimentConfig, ReplicationReport, run_table1
 from actfactors.models import SeededRng, build_case, sample_data
-from actfactors.panel import PanelDataset, ingest_csv
+from actfactors.panel import PanelDataset, clean_outliers, ingest_csv
 from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
 
 
@@ -73,11 +73,26 @@ class TestEstimateCommand:
         log = json.loads(out.read_text())["cleaning_log"]
         assert log == [{"series": "s4", "row": 31, "value": 1e4, "action": "replaced-median"}]
 
-    def test_method_errors_do_not_abort(self, factor_panel_csv):
-        ds = ingest_csv(factor_panel_csv)
-        report = estimate_report(ds, methods=("ACT", "GR"), r_max=18)
-        assert "k" in report["methods"]["ACT"]
-        assert report["methods"]["GR"].get("k") is not None or "error" in report["methods"]["GR"]
+    def test_method_errors_do_not_abort(self, tmp_path, capsys):
+        # at n < p both spectra end in exact zeros (rank n - 1): a method that
+        # needs a positive tail or a strict gap within r_max records its error,
+        # and the others still count; ACT's error also replaces the adjusted values
+        tail_sum_zero = {
+            "GR": "NumericalDomain: tail sum V_10 must be positive",
+            "IC3": "NumericalDomain: V(k) hit zero; IC criterion undefined",
+        }
+        tie_at_zero = {"ACT": "DegenerateGap: cannot jitter a tie at eigenvalue 0"}
+        for n, args, errors in (
+            (10, ["--r-max", "9"], tail_sum_zero),
+            (5, ["--methods", "ACT", "KAISER", "--r-max", "6"], tie_at_zero),
+        ):
+            path = write_panel_csv(tmp_path / f"noise-{n}.csv", np.random.default_rng(0).standard_normal((n, 50)))
+            assert main(["estimate", path, *args]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert {m: entry["error"] for m, entry in doc["methods"].items() if "error" in entry} == errors
+            assert all("k" in entry for m, entry in doc["methods"].items() if m not in errors)
+            assert doc.get("adjusted_error") == errors.get("ACT")
+            assert ("adjusted_eigenvalues" in doc) == ("ACT" not in errors)
 
     def test_basis_override(self, factor_panel_csv):
         ds = ingest_csv(factor_panel_csv)
@@ -218,6 +233,8 @@ class TestExitCodes:
             ["--on-r-min", "20"],
             ["--methods", "ED", "--ed-threshold", "-1"],
             ["--r-max", "0"],
+            ["--workers", "0"],
+            ["--n", "2"],
         ],
     )
     def test_simulate_option_out_of_range_is_2(self, args, capsys):
@@ -232,13 +249,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "content",
-        [b"caf\xe9,b\n1,2\n3,4\n5,6\n", b"a,b\n1,2\n3," + b"9" * 200_000 + b"\n5,6\n"],
-        ids=["latin-1-header", "oversized-cell"],
+        [b"caf\xe9,b\n1,2\n3,4\n5,6\n", b"a,b\n1,2\n3," + b"9" * 200_000 + b"\n5,6\n", b""],
+        ids=["latin-1-header", "oversized-cell", "empty"],
     )
     @pytest.mark.parametrize("command", ["estimate", "analyze"])
     def test_malformed_csv_bytes_are_3(self, factor_panel_csv, tmp_path, capsys, command, content):
-        # bytes that do not decode as UTF-8, or a cell past the csv module's
-        # field limit, end as one error line, not a traceback
+        # bytes that do not decode as UTF-8, a cell past the csv module's
+        # field limit, or no bytes at all, end as one error line, not a traceback
         bad = tmp_path / "bad.csv"
         bad.write_bytes(content)
         args = ["estimate", str(bad)] if command == "estimate" else ["analyze", factor_panel_csv, "--factors", str(bad)]
@@ -292,36 +309,24 @@ class TestExitCodes:
 
 
 class TestParser:
-    """Each subcommand's flags: which subcommand takes them, their dests and
-    their defaults."""
+    """Each subcommand's flags and their dests. An option that feeds a library
+    parameter is absent from the namespace unless it is set."""
 
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (
-                ["estimate", "p.csv"],
-                {
-                    "command": "estimate", "csv": "p.csv", "clean": False, "clean_policy": "median",
-                    "drop_missing": False, "methods": None,
-                    "r_max": None, "ed_threshold": None, "on_r_min": 0, "out": None, "basis": None,
-                },
-            ),
+            (["estimate", "p.csv"], {"command": "estimate", "csv": "p.csv", "clean": False, "out": None}),
             (
                 ["simulate", "--case", "1", "--p", "20", "--n", "50"],
                 {
-                    "command": "simulate", "case": [1], "p": [20], "n": [50], "k": 5, "reps": 1000,
-                    "seed": 0, "family": "gaussian", "fixed_loadings": False, "workers": 1,
-                    "text_table": False, "methods": None,
-                    "r_max": None, "ed_threshold": None, "on_r_min": 0, "out": None,
+                    "command": "simulate", "cases": [1], "p_values": [20], "n_values": [50],
+                    "family": "gaussian", "text_table": False, "out": None,
                 },
             ),
-            (["table1"], {"command": "table1", "seeds": 20, "seed": 0, "text_table": False, "out": None}),
+            (["table1"], {"command": "table1", "text_table": False, "out": None}),
             (
                 ["analyze", "p.csv", "--factors", "f.csv"],
-                {
-                    "command": "analyze", "csv": "p.csv", "factors": "f.csv", "k": None, "clean": False,
-                    "clean_policy": "median", "drop_missing": False, "out": None,
-                },
+                {"command": "analyze", "csv": "p.csv", "factors": "f.csv", "clean": False, "out": None},
             ),
         ],
         ids=["estimate", "simulate", "table1", "analyze"],
@@ -329,6 +334,82 @@ class TestParser:
     def test_dests_and_defaults(self, argv, expected):
         parsed = vars(_build_parser().parse_args(argv))
         assert {k: v for k, v in parsed.items() if k != "run"} == expected
+
+
+class TestOptionForwarding:
+    """A command-line option reaches the library parameter its dest names; an
+    option left out reaches it as that parameter's own default."""
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ([], {}),
+            (
+                ["--methods", "ACT", "ED", "ON", "--r-max", "5", "--ed-threshold", "0.5", "--on-r-min", "1",
+                 "--basis", "corr"],
+                dict(methods=("ACT", "ED", "ON"), r_max=5, ed_threshold=0.5, on_r_min=1, basis="corr"),
+            ),
+        ],
+        ids=["unset", "set"],
+    )
+    def test_estimate(self, factor_panel_csv, capsys, args, kwargs):
+        assert main(["estimate", factor_panel_csv, *args]) == 0
+        expected = estimate_report(ingest_csv(factor_panel_csv), **kwargs)
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize(
+        "args, ingest_kwargs, clean_kwargs",
+        [
+            (["--clean"], {}, {}),
+            (["--clean", "--clean-policy", "drop", "--drop-missing"], dict(drop_missing=True), dict(policy="drop")),
+        ],
+        ids=["unset", "set"],
+    )
+    def test_panel_options(self, tmp_path, capsys, args, ingest_kwargs, clean_kwargs):
+        # a gross value for the cleaning policy, and a missing cell where drop_missing is set
+        g = SeededRng(62).generator()
+        X = np.array(sample_data(build_case(1, 20, 2, g), 100, g).values)
+        X[10, 3] = 1e4
+        if ingest_kwargs:
+            X[20, 5] = np.nan
+        path = write_panel_csv(tmp_path / "p.csv", X)
+        assert main(["estimate", path, *args]) == 0
+        expected = estimate_report(clean_outliers(ingest_csv(path, **ingest_kwargs), **clean_kwargs))
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ([], {}),
+            (
+                ["--k", "3", "--reps", "4", "--seed", "7", "--family", "both", "--fixed-loadings", "--workers", "2",
+                 "--methods", "ACT", "ED", "--r-max", "5", "--ed-threshold", "0.5", "--on-r-min", "1"],
+                dict(k_true=3, replications=4, master_seed=7, families=("gaussian", "uniform"), fresh_loadings=False,
+                     workers=2, methods=("ACT", "ED"), r_max=5, ed_threshold=0.5, on_r_min=1),
+            ),
+        ],
+        ids=["unset", "set"],
+    )
+    def test_simulate(self, monkeypatch, capsys, args, kwargs):
+        seen = []
+        monkeypatch.setattr("actfactors.cli.run_experiment", lambda config: seen.append(config) or ReplicationReport({}, []))
+        assert main(["simulate", "--case", "1", "--p", "20", "--n", "50", *args]) == 0
+        capsys.readouterr()
+        assert seen == [ExperimentConfig(cases=(1,), p_values=(20,), n_values=(50,), **kwargs)]
+
+    @pytest.mark.parametrize(
+        "args, kwargs", [([], {}), (["--seeds", "1", "--seed", "5"], dict(seeds=1, master_seed=5))], ids=["unset", "set"]
+    )
+    def test_table1(self, capsys, args, kwargs):
+        assert main(["table1", *args]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(run_table1(**kwargs)))
+
+    @pytest.mark.parametrize("args, kwargs", [([], {}), (["--k", "2"], dict(k=2))], ids=["unset", "set"])
+    def test_analyze(self, factor_panel_csv, tmp_path, capsys, args, kwargs):
+        factors = write_panel_csv(tmp_path / "f.csv", SeededRng(63).generator().standard_normal((120, 2)))
+        assert main(["analyze", factor_panel_csv, "--factors", factors, *args]) == 0
+        expected = analyze_report(ingest_csv(factor_panel_csv), ingest_csv(factors), **kwargs)
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
 
 
 def readme_commands() -> list[list[str]]:

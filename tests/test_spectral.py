@@ -77,6 +77,11 @@ class TestToCorrelation:
             to_correlation(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert exc.value.column == 2
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionError, match="covariance matrix must be square"):
+            to_correlation(np.ones(shape))
+
     def test_infinite_variance_is_not_zero_variance(self):
         # the non-finite test runs first: an inf diagonal also makes the
         # zero-variance tolerance inf, which every column would fall under
