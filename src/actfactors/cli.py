@@ -51,12 +51,13 @@ def estimate_report(
     methods = canonical_methods(methods)
     if basis not in (None, "cov", "corr"):
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
-    r_max = default_r_max(p, n) if r_max is None else r_max
-    check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     # not spectra(): square_spectra's correlation eigenvalues, and with them
     # the adjusted eigenvalues, are the ones earlier reports published, bit
-    # for bit; at p > n its covariance spectrum comes from the n x n Gram
+    # for bit; at p > n its covariance spectrum comes from the n x n Gram.
+    # It runs first, so a panel it refuses is a data error before any option
     cov_spec, corr_spec = square_spectra(X)
+    r_max = default_r_max(p, n) if r_max is None else r_max
+    check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     by_basis = {"cov": cov_spec, "corr": corr_spec}
     results = {}
     for m in methods:
@@ -155,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     methods.add_argument("--methods", nargs="+", metavar="M",
                          help=f"methods to run (default: estimate {' '.join(DEFAULT_METHODS)}, simulate "
                               f"{' '.join(ExperimentConfig.methods)}; choices: {', '.join(METHODS)})")
-    methods.add_argument("--r-max", type=int, help="search bound (default min(p/2, (n-1)/2, 50))")
+    methods.add_argument("--r-max", type=int, help="search bound (default: act.default_r_max(p, n))")
     methods.add_argument("--ed-threshold", type=float, help="gap threshold for ED (required when ED is requested)")
     methods.add_argument("--on-r-min", type=int, help="lower search bound for ON")
     panel = argparse.ArgumentParser(add_help=False)

@@ -157,10 +157,6 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
     if dropped.size:
         values = values[:, missing == 0]
         names = [name for name, m in zip(names, missing) if m == 0]
-    if values.shape[1] < 2:
-        raise DataError(f"{path}: fewer than 2 usable series after ingestion")
-    if values.shape[0] < 3:
-        raise DataError(f"{path}: fewer than 3 observations")
     return PanelDataset(tuple(names), DataMatrix(values), tuple(log))
 
 
@@ -207,7 +203,5 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
         else:
             drop |= mask
     if drop.any():
-        if n - np.count_nonzero(drop) < 3:
-            raise DataError("outlier row removal left fewer than 3 observations")
         values = values[~drop]
     return PanelDataset(ds.names, DataMatrix(values), tuple(log))

@@ -31,17 +31,27 @@ KAISER_TOL = 1e-10
 
 
 def _as_matrix(values, what: str = "matrix", square: bool = False) -> np.ndarray:
+    """values as a 2-d float array; with square, also finite and symmetric to 1e-8 relative."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{what} must be 2-dimensional, got shape {arr.shape}")
-    if square and arr.shape[0] != arr.shape[1]:
+    if not square:
+        return arr
+    if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {arr.shape}")
+    scale = np.abs(arr).max() if arr.size else 0.0
+    if not np.isfinite(scale):
+        raise DataError(f"{what} contains non-finite entries")
+    asym = np.abs(arr - arr.T).max() if arr.size else 0.0
+    if asym > 1e-8 * max(scale, 1e-300):
+        raise DataError(f"{what} is asymmetric beyond 1e-08 relative ({asym:g})")
     return arr
 
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """An n x p panel: rows are observations, columns are series."""
+    """An n x p panel: rows are observations, columns are series. The one
+    panel rule: at least 3 rows, at least 1 column, all values finite."""
 
     values: np.ndarray
 
@@ -50,8 +60,8 @@ class DataMatrix:
         n, p = arr.shape
         if n < 3:
             raise DimensionError(f"panel needs at least 3 rows, got {n}")
-        if p < 2:
-            raise DimensionError(f"panel needs at least 2 columns, got {p}")
+        if p < 1:
+            raise DimensionError(f"panel needs at least 1 column, got {p}")
         if not np.all(np.isfinite(arr)):
             raise DataError("data matrix contains non-finite entries")
         object.__setattr__(self, "values", arr)
@@ -133,10 +143,8 @@ def standard_deviations(d: np.ndarray) -> np.ndarray:
 
 
 def to_correlation(M: np.ndarray) -> np.ndarray:
-    """Rescale a covariance to unit diagonal: D^{-1/2} M D^{-1/2}, D = diag(M)."""
-    corr = _correlate_in_place(np.array(_as_matrix(M, "covariance matrix", square=True)))
-    # M may come from outside, so it is not trusted to be symmetric
-    return (corr + corr.T) / 2.0
+    """D^{-1/2} M D^{-1/2}, D = diag(M), for M symmetric to 1e-8 relative (not averaged)."""
+    return _correlate_in_place(np.array(_as_matrix(M, "covariance matrix", square=True)))
 
 
 def _correlate_in_place(M: np.ndarray) -> np.ndarray:
@@ -162,26 +170,20 @@ def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
     so a rank-r input reports exactly p - r zeros.
     """
     arr = _as_matrix(M, "matrix", square=True)
-    scale = np.abs(arr).max() if arr.size else 0.0
-    if not np.isfinite(scale):
-        raise DataError("matrix contains non-finite entries")
-    asym = np.abs(arr - arr.T).max() if arr.size else 0.0
-    if asym > 1e-8 * max(scale, 1e-300):
-        raise DataError(f"matrix is asymmetric beyond 1e-08 relative ({asym:g})")
     return _spectrum(arr, n, arr.shape[0])
 
 
 def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, both tagged with X.n.
 
-    For p <= n: square_spectra(X). For p > n the centred panel Z has rank
-    at most n - 1, so both p x p spectra are those of the n x n Gram
-    matrices Z Z^T/n and Zs Zs^T/n (Zs: each column of Z divided by its
-    standard deviation) padded with p - n zeros. The covariance spectrum is
-    square_spectra's bit for bit; the correlation spectrum agrees with the
-    p x p route to round-off. That route consumes X: it centres and
-    standardises X.values in place (so they must be writable) instead of
-    copying the panel, and X holds Zs afterwards.
+    For p <= n: square_spectra(X), which refuses a single series. For p > n
+    (>= 3) the centred panel Z has rank at most n - 1, so both p x p spectra
+    are those of the n x n Gram matrices Z Z^T/n and Zs Zs^T/n (Zs: each
+    column of Z divided by its standard deviation) padded with p - n zeros.
+    The covariance spectrum is square_spectra's bit for bit; the correlation
+    spectrum agrees with the p x p route to round-off. That route consumes
+    X: it centres and standardises X.values in place (so they must be
+    writable) instead of copying the panel, and X holds Zs afterwards.
     """
     n, p = X.n, X.p
     if p <= n:
@@ -211,9 +213,11 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     it agrees with the p x p eigensolve to round-off (about 1e-15 of the
     top eigenvalue). G sums p terms per entry where the p x p matrix sums
     n, so on data near the overflow limit it overflows slightly earlier,
-    with the same DataError.
+    with the same DataError. Fewer than 2 series is a DimensionError.
     """
     n, p = X.n, X.p
+    if p < 2:
+        raise DimensionError(f"spectra need at least 2 series, got {p}")
     Z = X.values - X.values.mean(axis=0)
     M = _gram(Z.T, n)  # sample_covariance(X), bit for bit
     cov = _gram(Z, n) if p > n else M

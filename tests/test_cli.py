@@ -11,6 +11,7 @@ import pytest
 
 import actfactors
 from actfactors.act import act_estimate, adjust_eigenvalues, default_r_max
+from actfactors.analysis import ols_r2, pc_scores
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
@@ -263,6 +264,31 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a\n1\n2\n4\n8\n", "a,b\n1,2\n3,5\n", "a,b\n1,NA\nNA,2\n3,4\n"],
+        ids=["one-series", "two-rows", "all-missing"],
+    )
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_panel_shape_errors_are_3(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        factors = tmp_path / "f.csv"
+        factors.write_text("f\n" + "".join(f"{v}\n" for v in (1.0, 2.0, 0.5, 3.0)))
+        args = [str(bad), "--drop-missing"]
+        args = ["estimate", *args] if command == "estimate" else ["analyze", *args, "--factors", str(factors)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_option_error_keeps_its_message_after_the_spectra(self, tmp_path, capsys):
+        # estimate_report computes the spectra before it checks the options
+        path = write_panel_csv(tmp_path / "p.csv", SeededRng(62).generator().standard_normal((200, 30)))
+        assert main(["estimate", path, "--r-max", "999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: method ACT at p=30, n=200: r_max=999 must satisfy ")
 
     def test_missing_file_is_3(self):
         assert main(["estimate", "/nonexistent/panel.csv"]) == 3
@@ -543,6 +569,20 @@ class TestAnalyzeCommand:
         factor_path = write_panel_csv(tmp_path / "f.csv", g.standard_normal((40, 2)))
         assert main(["analyze", panel_path, "--factors", factor_path, *args]) == code
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_one_factor_series(self, tmp_path, capsys):
+        # a single observed factor, such as a market factor, is regressed on
+        # the PC scores like any other
+        g = SeededRng(63).generator()
+        X = sample_data(build_case(1, 20, 2, g), 150, g).values
+        market = X.mean(axis=1) + 0.01 * g.standard_normal(150)
+        panel_path = write_panel_csv(tmp_path / "p.csv", X)
+        factor_path = write_panel_csv(tmp_path / "f.csv", market[:, None], names=["mkt"])
+        assert main(["analyze", panel_path, "--factors", factor_path, "--k", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        scores = pc_scores(DataMatrix(X), 2)
+        assert doc["r2_on_pc_factors"] == {"mkt": ols_r2(market, scores)}
+        assert doc["r2_on_pc_factors"]["mkt"] > 0.5
 
     def test_mismatched_rows_is_3(self, tmp_path):
         g = SeededRng(57).generator()

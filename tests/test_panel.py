@@ -170,10 +170,7 @@ def _oracle_ingest(path, drop_missing=False):
             )
         values = values[:, keep]
         names = [names[j] for j in keep]
-    if values.shape[1] < 2:
-        raise DataError(f"{path}: fewer than 2 usable series after ingestion")
-    if values.shape[0] < 3:
-        raise DataError(f"{path}: fewer than 3 observations")
+    # the row and column counts are DataMatrix's rule
     return PanelDataset(tuple(names), DataMatrix(values), tuple(log))
 
 
@@ -332,9 +329,7 @@ def _oracle_clean_outliers(ds, policy="median"):
         else:
             drop |= mask
     if drop.any():
-        if n - np.count_nonzero(drop) < 3:
-            raise DataError("outlier row removal left fewer than 3 observations")
-        values = values[~drop]
+        values = values[~drop]  # DataMatrix refuses fewer than 3 rows
     return PanelDataset(ds.names, DataMatrix(values), tuple(log))
 
 

@@ -82,6 +82,10 @@ class TestToCorrelation:
         with pytest.raises(DimensionError, match="covariance matrix must be square"):
             to_correlation(np.ones(shape))
 
+    def test_asymmetric_rejected_not_averaged(self):
+        with pytest.raises(DataError, match="asymmetric beyond 1e-08"):
+            to_correlation(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
     def test_infinite_variance_is_not_zero_variance(self):
         # the non-finite test runs first: an inf diagonal also makes the
         # zero-variance tolerance inf, which every column would fall under
@@ -336,6 +340,13 @@ class TestSquareSpectra:
         assert got == want
         assert got[0] is (ZeroVarianceSeries if column == "constant" else DataError)
 
+    @pytest.mark.parametrize("route", [spectra, square_spectra])
+    def test_one_series_is_a_dimension_error(self, route):
+        # the two-series minimum lives here, not in DataMatrix; spectra meets
+        # it only at p <= n, where it calls square_spectra
+        with pytest.raises(DimensionError, match="spectra need at least 2 series, got 1"):
+            route(self.panel((5, 1), 0))
+
     def test_overflowing_rescale_is_a_data_error(self):
         # variances near 1e-320 pass the zero-variance rule, but the outer
         # product of 1/sd overflows in the rescale. The non-finite correlation
@@ -367,10 +378,12 @@ class TestSpectrumInvariants:
 
 class TestDataMatrix:
     def test_minimum_shape(self):
-        with pytest.raises(DimensionError):
+        # at least 3 rows and 1 column; the two-series minimum is the spectra's
+        assert DataMatrix(np.zeros((5, 1))).p == 1
+        with pytest.raises(DimensionError, match="at least 3 rows"):
             DataMatrix(np.zeros((2, 4)))
-        with pytest.raises(DimensionError):
-            DataMatrix(np.zeros((5, 1)))
+        with pytest.raises(DimensionError, match="at least 1 column"):
+            DataMatrix(np.zeros((3, 0)))
 
 
 class TestKaiserCounts:
