@@ -12,7 +12,7 @@ import inspect
 import json
 import sys
 
-from .act import act_estimate, act_threshold, adjust_eigenvalues, default_r_max
+from .act import act_estimate, act_threshold, adjust_eigenvalues
 from .analysis import ols_r2, pc_scores, projection_distance, variance_explained
 from .errors import ActFactorsError, ConfigError, DataError
 from .harness import (
@@ -20,6 +20,7 @@ from .harness import (
     ExperimentConfig,
     canonical_methods,
     check_method_options,
+    count_factors,
     render_table1_text,
     render_text_table,
     run_experiment,
@@ -56,16 +57,9 @@ def estimate_report(
     # for bit; at p > n its covariance spectrum comes from the n x n Gram.
     # It runs first, so a panel it refuses is a data error before any option
     cov_spec, corr_spec = square_spectra(X)
-    r_max = default_r_max(p, n) if r_max is None else r_max
-    check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
-    by_basis = {"cov": cov_spec, "corr": corr_spec}
-    results = {}
-    for m in methods:
-        default_basis, estimate = METHODS[m]
-        try:
-            results[m] = {"k": estimate(by_basis[basis or default_basis], n, r_max, ed_threshold, on_r_min)}
-        except ActFactorsError as exc:
-            results[m] = {"error": f"{type(exc).__name__}: {exc}"}
+    r_max = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
+    counts = count_factors(methods, {"cov": cov_spec, "corr": corr_spec}, n, r_max, ed_threshold, on_r_min, basis)
+    results = {m: {"error": k} if isinstance(k, str) else {"k": k} for m, k in counts.items()}
     try:
         adj = adjust_eigenvalues(corr_spec, n, r_max)
         adjusted_info = {
@@ -203,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", parents=[panel, out], argument_default=unset,
                         help="variance explained, factor regressions, subspace distance")
     an.add_argument("--factors", required=True, help="CSV of observed factor series")
-    an.add_argument("--clean-policy", dest="policy", choices=["median"],
-                    help="median only: drop would remove different rows from the panel and the factors")
     an.add_argument("--k", type=int, help="number of PC factors (default: the adjusted-threshold estimate)")
     an.set_defaults(run=_cmd_analyze)
     return ap

@@ -29,6 +29,7 @@ __all__ = [
     "METHODS",
     "canonical_methods",
     "check_method_options",
+    "count_factors",
     "ExperimentConfig",
     "CellPlan",
     "CellResult",
@@ -81,20 +82,35 @@ def canonical_methods(methods) -> tuple[str, ...]:
 
 
 def check_method_options(
-    methods: tuple[str, ...], p: int, n: int, r_max: int, ed_threshold: float | None, on_r_min: int
-) -> None:
-    """Raise ConfigError if an option is out of range for a method at (p, n).
-
-    Each method runs once on a strictly decreasing positive spectrum, on
-    which no estimator meets a data error, so the bounds checked are exactly
-    the ones the estimators enforce.
-    """
+    methods: tuple[str, ...], p: int, n: int, r_max: int | None, ed_threshold: float | None, on_r_min: int
+) -> int:
+    """Return r_max, default_r_max(p, n) when None, after raising ConfigError
+    if an option is out of range for a method at (p, n). Each method runs
+    once on a strictly decreasing positive spectrum, on which no estimator
+    meets a data error, so the bounds checked are the estimators' own."""
+    r_max = default_r_max(p, n) if r_max is None else r_max
     probe = Spectrum(np.linspace(2.0, 1.0, p), p=p, n=n)
     for m in methods:
         try:
             METHODS[m][1](probe, n, r_max, ed_threshold, on_r_min)
         except ConfigError as exc:
             raise ConfigError(f"method {m} at p={p}, n={n}: {exc}") from None
+    return r_max
+
+
+def count_factors(
+    methods, by_basis: dict, n: int, r_max: int, ed_threshold: float | None, on_r_min: int, basis: str | None = None
+) -> dict:
+    """Per method, its count on by_basis["cov"] or by_basis["corr"] (its own basis, or
+    ``basis`` for every method), or "Type: message" if its estimator raised."""
+    out = {}
+    for m in methods:
+        default_basis, estimate = METHODS[m]
+        try:
+            out[m] = estimate(by_basis[basis or default_basis], n, r_max, ed_threshold, on_r_min)
+        except ActFactorsError as exc:
+            out[m] = f"{type(exc).__name__}: {exc}"
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,29 +137,21 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "methods", canonical_methods(self.methods))
-        if self.k_true < 1:
-            raise ConfigError(f"need K >= 1 true factors, got K={self.k_true}")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if not self.cases or not self.p_values or not self.n_values or not self.families:
             raise ConfigError("cases, p_values, n_values and families must be non-empty")
-        for c in self.cases:
-            if c not in (1, 2, 3, 4):
-                raise ConfigError(f"case id must be 1..4, got {c}")
-        for fam in self.families:
-            if fam not in ("gaussian", "uniform"):
-                raise ConfigError(f"family must be 'gaussian' or 'uniform', got {fam!r}")
-        for n in self.n_values:
+        for p, n in itertools.product(self.p_values, self.n_values):
             if n < 3:
                 raise ConfigError(f"need n >= 3, got {n}")
-        for p in self.p_values:
             if p < self.k_true + 2:
                 raise ConfigError(f"need p >= K+2, got p={p}, K={self.k_true}")
-            for n in self.n_values:
-                r_max = default_r_max(p, n) if self.r_max is None else self.r_max
-                check_method_options(self.methods, p, n, r_max, self.ed_threshold, self.on_r_min)
+            check_method_options(self.methods, p, n, self.r_max, self.ed_threshold, self.on_r_min)
+        # build_case refuses an unknown case id or family, and K < 1
+        for case_id, family, p in itertools.product(self.cases, self.families, self.p_values):
+            build_case(case_id, p, self.k_true, np.random.default_rng(0), family)
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,6 @@ class CellResult:
 def _run_replications(plan: CellPlan, start: int, stop: int) -> dict:
     """Per method, each replication's count in order, or "Type: message" if the estimator raised."""
     outcomes = {m: [] for m in plan.methods}
-    estimators = [(outcomes[m], *METHODS[m]) for m in plan.methods]
     fixed_spec = None
     if not plan.fresh_loadings:
         # loadings drawn once per cell from the reserved stream one past the last rep
@@ -220,12 +227,10 @@ def _run_replications(plan: CellPlan, start: int, stop: int) -> dict:
         g = SeededRng(plan.cell_seed, r).generator()
         spec = fixed_spec or build_case(plan.case_id, plan.p, plan.k_true, g, plan.family)
         cov_spec, corr_spec = spectra(sample_data(spec, plan.n, g, out=panel))
-        for out, basis, estimate in estimators:
-            m_spec = cov_spec if basis == "cov" else corr_spec
-            try:
-                out.append(estimate(m_spec, plan.n, plan.r_max, plan.ed_threshold, plan.on_r_min))
-            except ActFactorsError as exc:
-                out.append(f"{type(exc).__name__}: {exc}")
+        by_basis = {"cov": cov_spec, "corr": corr_spec}
+        counts = count_factors(plan.methods, by_basis, plan.n, plan.r_max, plan.ed_threshold, plan.on_r_min)
+        for m, k in counts.items():
+            outcomes[m].append(k)
     return outcomes
 
 
@@ -297,7 +302,7 @@ def _plans(config: ExperimentConfig) -> list[CellPlan]:
             n=n,
             k_true=config.k_true,
             replications=config.replications,
-            r_max=default_r_max(p, n) if config.r_max is None else config.r_max,
+            r_max=check_method_options(config.methods, p, n, config.r_max, config.ed_threshold, config.on_r_min),
             ed_threshold=config.ed_threshold,
             on_r_min=config.on_r_min,
             fresh_loadings=config.fresh_loadings,

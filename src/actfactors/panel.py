@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .spectral import DataMatrix
 
 __all__ = ["PanelDataset", "ingest_csv", "clean_outliers"]
@@ -157,7 +157,10 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
     if dropped.size:
         values = values[:, missing == 0]
         names = [name for name, m in zip(names, missing) if m == 0]
-    return PanelDataset(tuple(names), DataMatrix(values), tuple(log))
+    try:
+        return PanelDataset(tuple(names), DataMatrix(values), tuple(log))
+    except DataError as exc:  # DataMatrix's shape rule, with the file it refused
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
@@ -169,7 +172,7 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
     logged otherwise. Needs at least 4 observations per series.
     """
     if policy not in ("median", "drop"):
-        raise DataError(f"policy must be 'median' or 'drop', got {policy!r}")
+        raise ConfigError(f"policy must be 'median' or 'drop', got {policy!r}")
     values = ds.data.values.copy()
     n, p = values.shape
     if n < 4:

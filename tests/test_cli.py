@@ -15,7 +15,7 @@ from actfactors.analysis import ols_r2, pc_scores
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
-from actfactors.harness import METHODS, ExperimentConfig, ReplicationReport, run_table1
+from actfactors.harness import METHODS, ExperimentConfig, ReplicationReport, _plans, run_experiment, run_table1
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, clean_outliers, ingest_csv
 from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
@@ -203,6 +203,33 @@ class TestMethodTable:
         assert list(report["methods"]) == ["ACT", "ER"]
 
 
+class TestFrontEndsAgree:
+    """estimate and simulate take r_max and each method's outcome from the same harness code."""
+
+    @pytest.mark.parametrize("n, p", [(200, 30), (40, 90)])
+    def test_default_r_max_is_the_plans(self, n, p):
+        ds = PanelDataset(tuple(f"s{i}" for i in range(p)), DataMatrix(SeededRng(63).generator().standard_normal((n, p))))
+        report = estimate_report(ds, methods=("ACT",), r_max=None)
+        (plan,) = _plans(ExperimentConfig(p_values=(p,), n_values=(n,), k_true=3, methods=("ACT",)))
+        assert report["config"]["r_max"] == plan.r_max == default_r_max(p, n)
+
+    def test_same_failure_text(self):
+        # n = 20 leaves the covariance rank 19, so r_max = 25 reaches its zeros
+        n, p, methods = 20, 60, ("ACT", "GR")
+        config = ExperimentConfig(p_values=(p,), n_values=(n,), k_true=3, r_max=25, methods=methods, replications=2)
+        simulated = run_experiment(config).cells[0]["methods"]
+        g = SeededRng(64).generator()
+        ds = PanelDataset(tuple(f"s{i}" for i in range(p)), sample_data(build_case(1, p, 3, g), n, g))
+        estimated = estimate_report(ds, methods=methods, r_max=25)["methods"]
+        expected = {
+            "ACT": "DegenerateGap: cannot jitter a tie at eigenvalue 0",
+            "GR": "NumericalDomain: tail sum V_26 must be positive",
+        }
+        for m, text in expected.items():
+            assert simulated[m]["failures"] == [text] and simulated[m]["failed_count"] == 2
+            assert estimated[m] == {"error": text}
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, factor_panel_csv):
         assert main(["estimate", factor_panel_csv, "--methods", "NOPE"]) == 2
@@ -281,6 +308,14 @@ class TestExitCodes:
         assert main(args) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_shape_error_names_the_file(self, tmp_path, capsys):
+        # with two input files, the error says which one is too short
+        g = SeededRng(65).generator()
+        panel_path = write_panel_csv(tmp_path / "p.csv", g.standard_normal((30, 5)))
+        short = write_panel_csv(tmp_path / "f2.csv", g.standard_normal((2, 1)), names=["f"])
+        assert main(["analyze", panel_path, "--factors", short]) == 3
+        assert capsys.readouterr().err == f"error: {short}: panel needs at least 3 rows, got 2\n"
 
     def test_option_error_keeps_its_message_after_the_spectra(self, tmp_path, capsys):
         # estimate_report computes the spectra before it checks the options
@@ -603,9 +638,7 @@ class TestAnalyzeCommand:
         factor_path = write_panel_csv(tmp_path / "f.csv", F, names=["f1", "f2"])
         args = ["analyze", panel_path, "--factors", factor_path, "--k", "2", "--clean"]
         assert main([*args, "--clean-policy", "drop"]) == 2
-        assert "argument --clean-policy: invalid choice: 'drop'" in capsys.readouterr().err
-        assert main([*args, "--clean-policy", "median"]) == 0
-        capsys.readouterr()
+        assert "unrecognized arguments: --clean-policy drop" in capsys.readouterr().err
         # refused before either file is read: a missing file would exit 3
         missing = str(tmp_path / "missing.csv")
         assert main(["analyze", missing, "--factors", missing, "--clean", "--clean-policy", "drop"]) == 2

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -84,6 +85,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(methods=("ED",))
         small_config(methods=("ED",), ed_threshold=1.0)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(cases=(5,)), "case id must be 1..4, got 5"),
+            (dict(families=("cauchy",)), "family must be 'gaussian' or 'uniform', got 'cauchy'"),
+            (dict(k_true=0), "need p > K >= 1, got p=30, K=0"),
+        ],
+        ids=["case", "family", "k"],
+    )
+    def test_grid_is_checked_by_build_case(self, kw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_config(**kw)
 
     def test_dimension_guards(self):
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from actfactors.errors import DataError, ParseError
+from actfactors.errors import ConfigError, DataError, ParseError
 from actfactors import panel
 from actfactors.panel import clean_outliers, ingest_csv
 from actfactors.spectral import DataMatrix
@@ -170,8 +170,11 @@ def _oracle_ingest(path, drop_missing=False):
             )
         values = values[:, keep]
         names = [names[j] for j in keep]
-    # the row and column counts are DataMatrix's rule
-    return PanelDataset(tuple(names), DataMatrix(values), tuple(log))
+    # the row and column counts are DataMatrix's rule; ingest names the file
+    try:
+        return PanelDataset(tuple(names), DataMatrix(values), tuple(log))
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _outcome(fn, path, drop_missing):
@@ -392,6 +395,10 @@ class TestCleanOutliers:
         assert [e["row"] for e in entries] == [18]
         assert entries[0]["value"] == 500.0
         np.testing.assert_array_equal(cleaned.data.values[:, 1], x[:, 1])
+
+    def test_unknown_policy_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="policy must be 'median' or 'drop', got 'mean'"):
+            clean_outliers(PanelDataset(("a", "b"), DataMatrix(self.spiked_panel())), "mean")
 
     def test_drop_policy_removes_rows(self):
         x = self.spiked_panel()
