@@ -132,13 +132,22 @@ def _check_finite(arr: np.ndarray) -> None:
 
 
 def standard_deviations(d: np.ndarray) -> np.ndarray:
-    """sqrt(d) for the variances d; a non-finite variance is a DataError,
-    one below 1e-12 of the mean variance is a ZeroVarianceSeries naming its
-    1-based column. This is the package's one zero-variance rule."""
+    """sqrt(d) for the variances d: the package's one variance rule, shared
+    by both spectra routes. A non-finite variance is a DataError; one below
+    1e-12 of the mean variance is a ZeroVarianceSeries naming its 1-based
+    column; one below the smallest normal float (subnormal: digits lost, and
+    the rescale's outer product of 1/sd would overflow) is a DataError naming
+    its column but not its value, whose last digits depend on the route."""
     _check_finite(d)
-    bad = np.flatnonzero(d <= 1e-12 * d.mean())
+    # the mean of the scaled terms: d.mean() overflows on finite variances
+    # whose sum passes the largest float
+    bad = np.flatnonzero(d <= 1e-12 * (d / d.size).sum())
     if bad.size:
         raise ZeroVarianceSeries(int(bad[0]) + 1)
+    tiny = np.finfo(float).tiny
+    bad = np.flatnonzero(d < tiny)
+    if bad.size:
+        raise DataError(f"series in column {bad[0] + 1} has variance below {tiny:.3g}; rescale the panel")
     return np.sqrt(d)
 
 
@@ -150,8 +159,10 @@ def to_correlation(M: np.ndarray) -> np.ndarray:
 def _correlate_in_place(M: np.ndarray) -> np.ndarray:
     """Rescale the covariance M to unit diagonal in place and return it."""
     inv_sd = 1.0 / standard_deviations(np.diag(M))
-    # for variances below ~1e-308 the outer product of 1/sd overflows; refuse
-    # the result before np.clip would turn an infinite entry into +-1
+    # standard_deviations keeps 1/sd below 1e154, so on a covariance the
+    # product stays finite; a caller's non-PSD matrix (|M_ij| far above
+    # sqrt(M_ii M_jj)) can still overflow, so refuse that before np.clip
+    # would turn an infinite entry into +-1
     with np.errstate(over="ignore", invalid="ignore"):
         M *= np.outer(inv_sd, inv_sd)
     if not np.all(np.isfinite(M)):
@@ -176,8 +187,10 @@ def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
 def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, both tagged with X.n.
 
-    For p <= n: square_spectra(X), which refuses a single series. For p > n
-    (>= 3) the centred panel Z has rank at most n - 1, so both p x p spectra
+    Both routes refuse exactly the panels square_spectra refuses, with its
+    messages: fewer than 3 series, a non-finite covariance, and the variance
+    rule of standard_deviations. For p <= n: square_spectra(X). For p > n
+    (>= 4) the centred panel Z has rank at most n - 1, so both p x p spectra
     are those of the n x n Gram matrices Z Z^T/n and Zs Zs^T/n (Zs: each
     column of Z divided by its standard deviation) padded with p - n zeros.
     The covariance spectrum is square_spectra's bit for bit; the correlation
@@ -190,13 +203,14 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
         return square_spectra(X)
     Z = X.values
     Z -= Z.mean(axis=0)
+    # the Gram before the variances, as in square_spectra, so a panel that
+    # overflows one and has a zero variance gets the same error on both routes
+    G = _gram(Z, n)
     # an overflowing variance is reported by standard_deviations; 1/sd and
     # the standardised entries (|Zs| <= sqrt(n)) cannot overflow
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.einsum("ij,ij->j", Z, Z) / n
-    inv_sd = 1.0 / standard_deviations(d)
-    G = _gram(Z, n)
-    Z *= inv_sd
+    Z *= 1.0 / standard_deviations(d)
     return _spectrum(G, n, p), _spectrum(_gram(Z, n), n, p)
 
 
@@ -213,11 +227,13 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     it agrees with the p x p eigensolve to round-off (about 1e-15 of the
     top eigenvalue). G sums p terms per entry where the p x p matrix sums
     n, so on data near the overflow limit it overflows slightly earlier,
-    with the same DataError. Fewer than 2 series is a DimensionError.
+    with the same DataError. Fewer than 3 series is a DimensionError: ACT,
+    GR and ON need r_max <= p - 2, so the default methods and analyze's ACT
+    count cannot run on fewer. Every variance passes standard_deviations.
     """
     n, p = X.n, X.p
-    if p < 2:
-        raise DimensionError(f"spectra need at least 2 series, got {p}")
+    if p < 3:
+        raise DimensionError(f"spectra need at least 3 series, got {p}")
     Z = X.values - X.values.mean(axis=0)
     M = _gram(Z.T, n)  # sample_covariance(X), bit for bit
     cov = _gram(Z, n) if p > n else M

@@ -114,10 +114,10 @@ class TestPcScores:
             pc_scores(DataMatrix(X), 2)
 
     def test_tiny_units_are_a_data_error(self):
-        # variances near 1e-320 pass the zero-variance rule, but the rescale
-        # to the correlation overflows; estimate and analyze refuse it alike
+        # variances near 1e-320 pass the zero-variance rule but fall below the
+        # variance floor; estimate and analyze refuse it alike
         values = np.random.default_rng(3).standard_normal((30, 50))
-        with pytest.raises(DataError, match="^matrix contains non-finite entries$"):
+        with pytest.raises(DataError, match=r"^series in column 1 has variance below 2\.23e-308; rescale the panel$"):
             pc_scores(DataMatrix((values - values.mean(axis=0)) * 1e-160), 2)
 
     def test_k_bound(self):

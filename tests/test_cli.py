@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -230,6 +231,51 @@ class TestFrontEndsAgree:
             assert estimated[m] == {"error": text}
 
 
+#: perfbench's tolerance for floats in its reference outputs
+BLAS_RTOL = 1e-9
+
+
+def assert_close(a, b, where="report"):
+    """Equal JSON trees, except that floats need only agree to BLAS_RTOL."""
+    if isinstance(a, float) and isinstance(b, float):
+        assert math.isclose(a, b, rel_tol=BLAS_RTOL, abs_tol=0.0), (where, a, b)
+    elif isinstance(a, dict) and isinstance(b, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            assert_close(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_close(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, (where, a, b)
+
+
+class TestBlasThreads:
+    """Reports under one and two OpenBLAS threads: simulate writes the same
+    bytes; on a 300 x 1000 panel estimate's floats move in their last
+    digits, so only its counts are equal and its floats agree to BLAS_RTOL."""
+
+    @staticmethod
+    def run_both(args):
+        return [
+            run_cli(args, {**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, check=True).stdout
+            for threads in ("1", "2")
+        ]
+
+    def test_simulate_bytes_are_equal(self):
+        args = ["simulate", "--case", "2", "3", "--p", "100", "1000", "--n", "300", "--family", "both", "--reps", "2"]
+        one, two = self.run_both(args)
+        assert one == two
+
+    def test_estimate_counts_are_equal(self, tmp_path):
+        g = SeededRng(0).generator()
+        path = write_panel_csv(tmp_path / "p.csv", sample_data(build_case(1, 1000, 5, g), 300, g).values)
+        one, two = (json.loads(out) for out in self.run_both(["estimate", path, "--clean"]))
+        assert one["methods"] == two["methods"]
+        assert_close(one, two)
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, factor_panel_csv):
         assert main(["estimate", factor_panel_csv, "--methods", "NOPE"]) == 2
@@ -341,17 +387,37 @@ class TestExitCodes:
 
     def test_rescale_overflow_is_3(self, tmp_path, capfd):
         # a panel in units of about 1e-160: the variances pass the zero-variance
-        # rule, but the rescale to the correlation overflows. Both shapes exit 3
-        # with the error line alone; the 10 x 50 one used to pass np.clip and
-        # fail later on a garbled spectrum, after a numpy overflow warning
+        # rule but fall below the variance floor, under which the rescale to
+        # the correlation would overflow. Both shapes exit 3 on both
+        # subcommands with the error line alone, and no numpy warning
         g = np.random.default_rng(3)
         for n, p in ((30, 50), (10, 50)):
             values = g.standard_normal((n, p))
             path = write_panel_csv(tmp_path / f"tiny-{n}x{p}.csv", (values - values.mean(axis=0)) * 1e-160)
-            assert run_cli(["estimate", path], dict(os.environ)).returncode == 3
-            captured = capfd.readouterr()
+            factors = np.random.default_rng(4).standard_normal((n, 1))
+            factors = write_panel_csv(tmp_path / f"f-{n}.csv", factors, names=["f"])
+            for args in (["estimate", path], ["analyze", path, "--factors", factors]):
+                assert run_cli(args, dict(os.environ)).returncode == 3
+                captured = capfd.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: series in column 1 has variance below 2.23e-308; rescale the panel\n"
+
+    def test_two_series_is_3(self, tmp_path, capsys):
+        # spectra need 3 series: ACT, GR and ON need r_max <= p - 2, so the
+        # default methods cannot run on 2. The shape is refused before any
+        # option is checked, so an explicit method list is refused too
+        g = SeededRng(66).generator()
+        panel = write_panel_csv(tmp_path / "p.csv", g.standard_normal((4, 2)), names=["a", "b"])
+        factors = write_panel_csv(tmp_path / "f.csv", g.standard_normal((4, 1)), names=["f"])
+        for args in (
+            ["estimate", panel],
+            ["analyze", panel, "--factors", factors],
+            ["estimate", panel, "--methods", "ER", "KAISER", "--r-max", "1"],
+        ):
+            assert main(args) == 3
+            captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "error: matrix contains non-finite entries\n"
+            assert captured.err == "error: spectra need at least 3 series, got 2\n"
 
     def test_method_error_outside_data_errors_is_3(self, tmp_path, monkeypatch, capsys):
         def degenerate(*args, **kwargs):

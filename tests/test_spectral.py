@@ -20,9 +20,10 @@ from actfactors.spectral import (
     _spectrum,
 )
 
-panel_shapes = st.tuples(st.integers(3, 40), st.integers(2, 60))
+# spectra need at least 3 series
+panel_shapes = st.tuples(st.integers(3, 40), st.integers(3, 60))
 # (n, p) on each side of the route spectra() chooses from the shape
-small_p_shapes = st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n)))
+small_p_shapes = st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(3, n)))
 large_p_shapes = st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, n + 60)))
 
 
@@ -85,6 +86,15 @@ class TestToCorrelation:
     def test_asymmetric_rejected_not_averaged(self):
         with pytest.raises(DataError, match="asymmetric beyond 1e-08"):
             to_correlation(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+    def test_zero_variance_beside_variances_whose_sum_overflows(self):
+        # the mean variance is taken without overflowing, so the zero
+        # variance is the one named, and numpy does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVarianceSeries) as exc:
+                to_correlation(np.diag([1e308, 1e308, 0.0]))
+        assert exc.value.column == 3
 
     def test_infinite_variance_is_not_zero_variance(self):
         # the non-finite test runs first: an inf diagonal also makes the
@@ -294,10 +304,10 @@ class TestSquareSpectra:
     composition = staticmethod(TestSpectra.composition)
 
     @settings(max_examples=100, deadline=None)
-    @given(shape=st.tuples(st.integers(3, 40), st.integers(2, 120)), seed=st.integers(0, 10_000))
+    @given(shape=st.tuples(st.integers(3, 40), st.integers(3, 120)), seed=st.integers(0, 10_000))
     @example(shape=(3, 3), seed=0)
     @example(shape=(40, 40), seed=1)
-    @example(shape=(40, 2), seed=2)
+    @example(shape=(40, 3), seed=2)
     @example(shape=(3, 120), seed=3)
     def test_bit_identical_to_public_composition(self, shape, seed):
         # the correlation at every shape, the covariance at p <= n
@@ -340,18 +350,20 @@ class TestSquareSpectra:
         assert got == want
         assert got[0] is (ZeroVarianceSeries if column == "constant" else DataError)
 
+    @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("route", [spectra, square_spectra])
-    def test_one_series_is_a_dimension_error(self, route):
-        # the two-series minimum lives here, not in DataMatrix; spectra meets
+    def test_one_series_is_a_dimension_error(self, route, p):
+        # the three-series minimum lives here, not in DataMatrix; spectra meets
         # it only at p <= n, where it calls square_spectra
-        with pytest.raises(DimensionError, match="spectra need at least 2 series, got 1"):
-            route(self.panel((5, 1), 0))
+        with pytest.raises(DimensionError, match=f"^spectra need at least 3 series, got {p}$"):
+            route(self.panel((5, p), 0))
 
     def test_overflowing_rescale_is_a_data_error(self):
-        # variances near 1e-320 pass the zero-variance rule, but the outer
-        # product of 1/sd overflows in the rescale. The non-finite correlation
-        # is refused, without a numpy warning, before np.clip could turn its
-        # infinite entries into +-1 (which the 10 x 50 panel used to reach)
+        # variances near 1e-320 pass the zero-variance rule but fall below
+        # the variance floor, where the outer product of 1/sd would overflow
+        # in the rescale. Both routes and the composition refuse them alike,
+        # without a numpy warning, at p > n too, where spectra's Gram route
+        # would otherwise return a spectrum built from subnormal variances
         for shape in ((30, 50), (10, 50)):
             X = self.panel(shape, 3)
             X = DataMatrix((X.values - X.values.mean(axis=0)) * 1e-160)
@@ -359,7 +371,54 @@ class TestSquareSpectra:
                 warnings.simplefilter("error")
                 got = _outcome(lambda: square_spectra(X))
                 want = _outcome(lambda: self.composition(X))  # fails in to_correlation
-            assert got == want == (DataError, "matrix contains non-finite entries"), shape
+                gram = _outcome(lambda: spectra(DataMatrix(X.values.copy())))
+            message = "series in column 1 has variance below 2.23e-308; rescale the panel"
+            assert got == want == gram == (DataError, message), shape
+
+
+class TestOneDomain:
+    """spectra and square_spectra refuse the same panels with the same error."""
+
+    @staticmethod
+    def panel(n, width, columns, seed, exponent):
+        p = {"below": n - 1, "equal": n, "above": n + 1, "far": 3 * n}[width]
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, p)) * rng.uniform(0.5, 5.0, p) + rng.uniform(-3.0, 3.0, p)
+        col = seed % p
+        if columns == "constant":
+            values[:, col] = 0.1
+        elif columns == "duplicated":
+            values[:, col] = values[:, (col + 1) % p]
+        elif columns == "mixed-scale":
+            values *= 10.0 ** rng.uniform(-3.0, 3.0, p)
+        return values * 10.0**exponent
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        width=st.sampled_from(["below", "equal", "above", "far"]),
+        columns=st.sampled_from(["plain", "constant", "duplicated", "mixed-scale"]),
+        seed=st.integers(0, 10_000),
+        exponent=st.integers(-172, 172),
+    )
+    @example(n=10, width="far", columns="plain", seed=3, exponent=-160)
+    @example(n=30, width="above", columns="plain", seed=3, exponent=-155)
+    @example(n=3, width="below", columns="plain", seed=0, exponent=0)
+    @example(n=5, width="far", columns="constant", seed=0, exponent=153)
+    def test_same_panels_refused_alike(self, n, width, columns, seed, exponent):
+        values = self.panel(n, width, columns, seed, exponent)
+        X = DataMatrix(values)
+        got = _outcome(lambda: spectra(DataMatrix(values.copy())))
+        want = _outcome(lambda: square_spectra(X))
+        if isinstance(got[0], type) or isinstance(want[0], type):  # an (error type, message) outcome
+            assert got == want
+            return
+        if X.p > X.n:
+            assert got[0].eigenvalues.tobytes() == want[0].eigenvalues.tobytes()
+        else:
+            for a, b in zip(got, want):
+                assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert_matches_to_round_off(got[1], want[1])
 
 
 class TestSpectrumInvariants:
