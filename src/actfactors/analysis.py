@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .spectral import DataMatrix, Spectrum, sample_covariance, to_correlation
+from .spectral import DataMatrix, Spectrum, sample_covariance, standard_deviations, to_correlation
 
 __all__ = [
     "variance_explained",
@@ -30,8 +30,11 @@ def variance_explained(spec: Spectrum, k: int) -> float:
 def pc_scores(X: DataMatrix, k: int) -> np.ndarray:
     """Project the centered, standardized data onto the top-k eigenvectors
     of to_correlation(sample_covariance(X)): the matrix whose eigenvalues
-    the reports print. Sign convention: the largest-magnitude loading of
-    each component is positive."""
+    the reports print. The data are X.centred() divided by
+    standard_deviations of the covariance's diagonal, so a panel whose
+    entries or column means overflow is sample_covariance's DataError.
+    Sign convention: the largest-magnitude loading of each component is
+    positive."""
     n, p = X.n, X.p
     if not 0 <= k <= min(n - 1, p):
         raise ConfigError(f"k={k} must lie in [0, min(n-1, p)={min(n - 1, p)}]")
@@ -41,7 +44,7 @@ def pc_scores(X: DataMatrix, k: int) -> np.ndarray:
     w, v = np.linalg.eigh(to_correlation(cov))  # raises on a zero variance before the division
     vk = v[:, np.argsort(w)[::-1][:k]]
     vk *= np.where(vk[np.argmax(np.abs(vk), axis=0), range(k)] < 0.0, -1.0, 1.0)
-    return ((X.values - X.values.mean(axis=0)) / np.sqrt(np.diag(cov))) @ vk
+    return (X.centred() / standard_deviations(np.diag(cov))) @ vk
 
 
 def ols_r2(y: np.ndarray, F: np.ndarray) -> float:

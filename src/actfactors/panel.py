@@ -169,7 +169,9 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
     policy="median" replaces each outlier with the series median (keeps
     series lengths aligned); policy="drop" removes the affected rows from
     every series. Series with zero IQR are skipped: silently when constant,
-    logged otherwise. Needs at least 4 observations per series.
+    logged otherwise. A series whose IQR overflows (it spans most of the
+    float range) flags nothing and is left unchanged. Needs at least 4
+    observations per series.
     """
     if policy not in ("median", "drop"):
         raise ConfigError(f"policy must be 'median' or 'drop', got {policy!r}")
@@ -179,11 +181,15 @@ def clean_outliers(ds: PanelDataset, policy: str = "median") -> PanelDataset:
         raise DataError(f"outlier cleaning needs at least 4 observations, got {n}")
     log = list(ds.cleaning_log)
     drop = np.zeros(n, dtype=bool)
-    # per column, interpolating linearly between order statistics
-    q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0], axis=0)
-    iqr = q3 - q1
-    dev = values - med
-    flagged = np.abs(dev, out=dev) > OUTLIER_IQR_MULTIPLE * iqr
+    # per column, interpolating linearly between order statistics. A series
+    # spanning most of the float range overflows the interpolation and the
+    # IQR; its IQR is then infinite, so it flags nothing and is left for the
+    # covariance check to refuse, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0], axis=0)
+        iqr = q3 - q1
+        dev = values - med
+        flagged = np.abs(dev, out=dev) > OUTLIER_IQR_MULTIPLE * iqr
     del dev
     for j in np.flatnonzero((iqr == 0.0) | flagged.any(axis=0)):
         x = values[:, j]

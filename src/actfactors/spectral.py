@@ -51,7 +51,8 @@ def _as_matrix(values, what: str = "matrix", square: bool = False) -> np.ndarray
 @dataclass(frozen=True)
 class DataMatrix:
     """An n x p panel: rows are observations, columns are series. The one
-    panel rule: at least 3 rows, at least 1 column, all values finite."""
+    panel rule: at least 3 rows, at least 1 column, all values finite.
+    Every panel statistic starts from centred(), the one centring."""
 
     values: np.ndarray
 
@@ -73,6 +74,18 @@ class DataMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
+
+    def centred(self, out: np.ndarray | None = None) -> np.ndarray:
+        """values minus their column means, in a new array or in out
+        (out=values centres the panel in place).
+
+        Finite entries near the largest float can overflow the column sums;
+        this runs under np.errstate so such a panel gets non-finite entries,
+        which the Gram's finiteness check reports as one DataError, instead
+        of a numpy warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.subtract(self.values, self.values.mean(axis=0), out=out)
 
 
 @dataclass(frozen=True)
@@ -107,8 +120,10 @@ class Spectrum:
 
 
 def sample_covariance(X: DataMatrix) -> np.ndarray:
-    """Sample covariance n^{-1} sum_i (y_i - ybar)(y_i - ybar)^T (divisor n)."""
-    return _gram((X.values - X.values.mean(axis=0)).T, X.n)
+    """Sample covariance n^{-1} sum_i (y_i - ybar)(y_i - ybar)^T (divisor n),
+    from X.centred(); a non-finite result (the entries or the column means
+    overflow) is a DataError."""
+    return _gram(X.centred().T, X.n)
 
 
 def _gram(A: np.ndarray, n: int) -> np.ndarray:
@@ -195,14 +210,14 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     column of Z divided by its standard deviation) padded with p - n zeros.
     The covariance spectrum is square_spectra's bit for bit; the correlation
     spectrum agrees with the p x p route to round-off. That route consumes
-    X: it centres and standardises X.values in place (so they must be
-    writable) instead of copying the panel, and X holds Zs afterwards.
+    X: it centres X.values in place through X.centred(out=X.values) and then
+    standardises them (so they must be writable) instead of copying the
+    panel, and X holds Zs afterwards.
     """
     n, p = X.n, X.p
     if p <= n:
         return square_spectra(X)
-    Z = X.values
-    Z -= Z.mean(axis=0)
+    Z = X.centred(out=X.values)
     # the Gram before the variances, as in square_spectra, so a panel that
     # overflows one and has a zero variance gets the same error on both routes
     G = _gram(Z, n)
@@ -234,7 +249,7 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     n, p = X.n, X.p
     if p < 3:
         raise DimensionError(f"spectra need at least 3 series, got {p}")
-    Z = X.values - X.values.mean(axis=0)
+    Z = X.centred()
     M = _gram(Z.T, n)  # sample_covariance(X), bit for bit
     cov = _gram(Z, n) if p > n else M
     del Z  # free the centred copy before the eigensolves

@@ -375,12 +375,35 @@ class TestExitCodes:
         assert main(["estimate", "/nonexistent/panel.csv"]) == 3
 
     def test_covariance_overflow_is_3(self, tmp_path, capfd):
-        # every entry is finite, but the squared deviations overflow; stderr
-        # holds the error line alone, with no numpy overflow warning before it
+        # every entry is finite, but the squared deviations (1e160), the
+        # column sums (entries near 1e308) or the quartile spread of a series
+        # alternating +-1.7e308 overflow; stderr holds the error line alone,
+        # with no numpy overflow warning before it, also where warnings are
+        # errors
         g = np.random.default_rng(7)
-        for n, p in ((40, 6), (4, 6)):
-            path = write_panel_csv(tmp_path / f"huge-{n}x{p}.csv", 1e160 * g.standard_normal((n, p)))
-            assert run_cli(["estimate", path], dict(os.environ)).returncode == 3
+        huge, huge_wide = (
+            write_panel_csv(tmp_path / f"huge-{n}x{p}.csv", 1e160 * g.standard_normal((n, p)))
+            for n, p in ((40, 6), (4, 6))
+        )
+        big, big_wide = (
+            write_panel_csv(tmp_path / f"big-{n}x{p}.csv", np.abs(g.standard_normal((n, p))) * 1e307 + 1e308)
+            for n, p in ((40, 6), (10, 40))
+        )
+        spanning = g.standard_normal((40, 6))
+        spanning[:, 0] = np.resize([1.7e308, -1.7e308], 40)
+        spanning = write_panel_csv(tmp_path / "spanning.csv", spanning)
+        factors = write_panel_csv(tmp_path / "f.csv", g.standard_normal((40, 1)), names=["f"])
+        warnings_as_errors = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+        for args, env in (
+            (["estimate", huge], {}),
+            (["estimate", huge_wide], {}),
+            (["estimate", big], {}),
+            (["estimate", "--clean", big], warnings_as_errors),
+            (["analyze", big, "--factors", factors], {}),
+            (["estimate", big_wide], {}),
+            (["estimate", "--clean", spanning], warnings_as_errors),
+        ):
+            assert run_cli(args, {**os.environ, **env}).returncode == 3, args
             captured = capfd.readouterr()
             assert captured.out == ""
             assert captured.err == "error: covariance matrix contains non-finite entries\n"

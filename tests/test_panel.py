@@ -462,6 +462,17 @@ class TestCleanOutliers:
         logged = [(e["series"], e["row"]) for e in cleaned.cleaning_log if e["action"] == "replaced-median"]
         assert replaced and logged == replaced
 
+    def test_series_spanning_the_float_range_untouched(self):
+        # the quartile spread of +-1.7e308 overflows to an infinite IQR, so
+        # the series flags nothing (pyproject.toml makes a numpy warning fail the test)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((40, 3))
+        x[:, 0] = np.resize([1.7e308, -1.7e308], 40)
+        x[5, 1] = 500.0
+        cleaned = clean_outliers(PanelDataset(("span", "b", "c"), DataMatrix(x)))
+        np.testing.assert_array_equal(cleaned.data.values[:, 0], x[:, 0])
+        assert [(e["series"], e["row"]) for e in cleaned.cleaning_log] == [("b", 6)]
+
     def test_no_outliers_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((40, 3))

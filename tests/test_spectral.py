@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from actfactors.act import default_r_max
+from actfactors.analysis import pc_scores
 from actfactors.errors import ActFactorsError, DataError, DimensionError, ZeroVarianceSeries
 from actfactors.harness import METHODS
 from actfactors.spectral import (
@@ -436,6 +437,33 @@ class TestSpectrumInvariants:
 
 
 class TestDataMatrix:
+    def test_centred(self):
+        values = np.random.default_rng(2).standard_normal((7, 4)) + 3.0
+        X = DataMatrix(values.copy())
+        want = values - values.mean(axis=0)
+        got = X.centred()
+        assert got.tobytes() == want.tobytes()
+        assert X.values.tobytes() == values.tobytes()
+        # out=values centres the panel in place
+        assert X.centred(out=X.values) is X.values
+        assert X.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 6), (10, 40)], ids=["p<n", "p>n"])
+    def test_overflowing_column_mean_is_a_data_error(self, shape):
+        # every entry is finite, but each column sum passes the largest float:
+        # the centring runs under np.errstate, so every statistic reports the
+        # covariance check's error (pyproject.toml makes a numpy warning fail the test)
+        values = np.abs(np.random.default_rng(8).standard_normal(shape)) * 1e307 + 1e308
+        X = DataMatrix(values)
+        calls = {
+            "sample_covariance": lambda: sample_covariance(X),
+            "square_spectra": lambda: square_spectra(X),
+            "spectra": lambda: spectra(DataMatrix(values.copy())),
+            "pc_scores": lambda: pc_scores(X, 1),
+        }
+        for name, call in calls.items():
+            assert _outcome(call) == (DataError, "covariance matrix contains non-finite entries"), name
+
     def test_minimum_shape(self):
         # at least 3 rows and 1 column; the two-series minimum is the spectra's
         assert DataMatrix(np.zeros((5, 1))).p == 1
