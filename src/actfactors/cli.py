@@ -58,7 +58,7 @@ def estimate_report(
     # It runs first, so a panel it refuses is a data error before any option
     cov_spec, corr_spec = square_spectra(X)
     r_max = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
-    counts = count_factors(methods, {"cov": cov_spec, "corr": corr_spec}, n, r_max, ed_threshold, on_r_min, basis)
+    counts = count_factors(methods, {"cov": cov_spec, "corr": corr_spec}, r_max, ed_threshold, on_r_min, basis)
     results = {m: {"error": k} if isinstance(k, str) else {"k": k} for m, k in counts.items()}
     try:
         adj = adjust_eigenvalues(corr_spec, n, r_max)

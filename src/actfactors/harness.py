@@ -45,21 +45,22 @@ __all__ = [
 REPORT_SCHEMA = "actfactors/replication-report/v1"
 
 #: method name -> (default spectrum, estimator call). Every call takes
-#: (spectrum, n, r_max, ed_threshold, on_r_min) and returns the count.
+#: (spectrum, r_max, ed_threshold, on_r_min), reads p and n from the
+#: spectrum, and returns the count.
 #: ON2 is an alias for ON: the gap-ratio argmax with the shared r_min and
 #: r_max; the alias exists for table layouts and is noted in report metadata.
 METHODS = {
-    "ACT": ("corr", lambda s, n, r_max, ed, r_min: act_estimate(s, n, r_max)),
-    "ER": ("cov", lambda s, n, r_max, ed, r_min: er_estimate(s, r_max)),
-    "GR": ("cov", lambda s, n, r_max, ed, r_min: gr_estimate(s, r_max)),
-    "ED": ("cov", lambda s, n, r_max, ed, r_min: ed_estimate(s, ed, r_max)),
-    "ON": ("cov", lambda s, n, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
-    "ON2": ("cov", lambda s, n, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
-    "KAISER": ("corr", lambda s, n, r_max, ed, r_min: naive_kaiser_estimate(s)),
+    "ACT": ("corr", lambda s, r_max, ed, r_min: act_estimate(s, s.n, r_max)),
+    "ER": ("cov", lambda s, r_max, ed, r_min: er_estimate(s, r_max)),
+    "GR": ("cov", lambda s, r_max, ed, r_min: gr_estimate(s, r_max)),
+    "ED": ("cov", lambda s, r_max, ed, r_min: ed_estimate(s, ed, r_max)),
+    "ON": ("cov", lambda s, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
+    "ON2": ("cov", lambda s, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
+    "KAISER": ("corr", lambda s, r_max, ed, r_min: naive_kaiser_estimate(s)),
     **{
         name: (
             "cov",
-            lambda s, n, r_max, ed, r_min, v=BaiNgVariant.parse(name): bai_ng_estimate(s, n, s.p, v, r_max),
+            lambda s, r_max, ed, r_min, v=BaiNgVariant.parse(name): bai_ng_estimate(s, s.n, s.p, v, r_max),
         )
         for name in ("IC1", "IC2", "IC3", "PC1", "PC2", "PC3")
     },
@@ -85,21 +86,25 @@ def check_method_options(
     methods: tuple[str, ...], p: int, n: int, r_max: int | None, ed_threshold: float | None, on_r_min: int
 ) -> int:
     """Return r_max, default_r_max(p, n) when None, after raising ConfigError
-    if an option is out of range for a method at (p, n). Each method runs
-    once on a strictly decreasing positive spectrum, on which no estimator
-    meets a data error, so the bounds checked are the estimators' own."""
+    if an option is out of range for a method at (p, n), or if r_max < 1
+    whatever the methods. Each method runs once on a strictly decreasing
+    positive spectrum, on which no estimator meets a data error, so the
+    bounds checked are the estimators' own."""
     r_max = default_r_max(p, n) if r_max is None else r_max
-    probe = Spectrum(np.linspace(2.0, 1.0, p), p=p, n=n)
+    probe = Spectrum(np.linspace(2.0, 1.0, p), n=n)
     for m in methods:
         try:
-            METHODS[m][1](probe, n, r_max, ed_threshold, on_r_min)
+            METHODS[m][1](probe, r_max, ed_threshold, on_r_min)
         except ConfigError as exc:
             raise ConfigError(f"method {m} at p={p}, n={n}: {exc}") from None
+    # a method list that never reads r_max (KAISER alone) still reports it
+    if r_max < 1:
+        raise ConfigError(f"r_max must be >= 1, got {r_max}")
     return r_max
 
 
 def count_factors(
-    methods, by_basis: dict, n: int, r_max: int, ed_threshold: float | None, on_r_min: int, basis: str | None = None
+    methods, by_basis: dict, r_max: int, ed_threshold: float | None, on_r_min: int, basis: str | None = None
 ) -> dict:
     """Per method, its count on by_basis["cov"] or by_basis["corr"] (its own basis, or
     ``basis`` for every method), or "Type: message" if its estimator raised."""
@@ -107,7 +112,7 @@ def count_factors(
     for m in methods:
         default_basis, estimate = METHODS[m]
         try:
-            out[m] = estimate(by_basis[basis or default_basis], n, r_max, ed_threshold, on_r_min)
+            out[m] = estimate(by_basis[basis or default_basis], r_max, ed_threshold, on_r_min)
         except ActFactorsError as exc:
             out[m] = f"{type(exc).__name__}: {exc}"
     return out
@@ -228,7 +233,7 @@ def _run_replications(plan: CellPlan, start: int, stop: int) -> dict:
         spec = fixed_spec or build_case(plan.case_id, plan.p, plan.k_true, g, plan.family)
         cov_spec, corr_spec = spectra(sample_data(spec, plan.n, g, out=panel))
         by_basis = {"cov": cov_spec, "corr": corr_spec}
-        counts = count_factors(plan.methods, by_basis, plan.n, plan.r_max, plan.ed_threshold, plan.on_r_min)
+        counts = count_factors(plan.methods, by_basis, plan.r_max, plan.ed_threshold, plan.on_r_min)
         for m, k in counts.items():
             outcomes[m].append(k)
     return outcomes
@@ -286,12 +291,6 @@ def run_cell(plan: CellPlan, workers: int = 1) -> CellResult:
     return _run_cells([plan], workers)[0]
 
 
-def _cell_seed(master_seed: int, cell_index: int) -> int:
-    return int(
-        np.random.SeedSequence([master_seed, cell_index]).generate_state(1, dtype=np.uint64)[0]
-    )
-
-
 def _plans(config: ExperimentConfig) -> list[CellPlan]:
     grid = itertools.product(config.cases, config.families, config.p_values, config.n_values)
     return [
@@ -306,7 +305,7 @@ def _plans(config: ExperimentConfig) -> list[CellPlan]:
             ed_threshold=config.ed_threshold,
             on_r_min=config.on_r_min,
             fresh_loadings=config.fresh_loadings,
-            cell_seed=_cell_seed(config.master_seed, index),
+            cell_seed=SeededRng(config.master_seed, index).derived_seed(),
             methods=config.methods,
         )
         for index, (case_id, family, p, n) in enumerate(grid)
@@ -397,7 +396,7 @@ def run_table1(seeds: int = 20, master_seed: int = 0) -> dict:
     cells = []
     grid = itertools.product((1, 2), *_TABLE1_GRID)
     for index, (scenario, K, p, sigma2) in enumerate(grid):
-        cell_seed = _cell_seed(master_seed, index)
+        cell_seed = SeededRng(master_seed, index).derived_seed()
         specs = (table1_scenario(scenario, K, p, sigma2, SeededRng(cell_seed, s).generator()) for s in range(seeds))
         counts = [kaiser_population_count(population_correlation(spec)) for spec in specs]
         cells.append({"scenario": scenario, "K": K, "p": p, "sigma2": sigma2, "counts": counts})

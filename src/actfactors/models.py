@@ -34,7 +34,9 @@ class SeededRng:
     """Reproducible RNG handle: (seed, stream) fully determines the draws.
 
     Streams with the same seed are statistically independent, so one seed
-    can drive many replications without coordination.
+    can drive many replications without coordination. It is the package's
+    one seed rule: replication generators and cell seeds both derive from
+    SeedSequence([seed, stream]), and a negative seed is a ConfigError.
     """
 
     seed: int
@@ -45,7 +47,15 @@ class SeededRng:
             raise ConfigError("seed and stream must be non-negative integers")
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream]))
+        return np.random.default_rng(self._sequence())
+
+    def derived_seed(self) -> int:
+        """The stream's first 64-bit state word: the seed of a child family
+        of streams, such as a cell's replications."""
+        return int(self._sequence().generate_state(1, dtype=np.uint64)[0])
+
+    def _sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence([self.seed, self.stream])
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ which consumes its panel when p > n (see there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,22 +90,19 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending eigenvalues of a symmetric PSD matrix, tagged with (p, n).
-
-    n is the sample count behind the matrix; 0 marks a population-level
-    spectrum. Small negatives are tolerated up to eigensolver round-off.
+    """Descending eigenvalues of a symmetric PSD matrix, tagged with the
+    sample count n behind it (keyword-only; 0 marks a population-level
+    spectrum). Its order p is the eigenvalue count. Small negatives are
+    tolerated up to eigensolver round-off.
     """
 
     eigenvalues: np.ndarray
-    p: int
-    n: int = 0
+    n: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         arr = np.asarray(self.eigenvalues, dtype=float)
         if arr.ndim != 1:
             raise DataError("spectrum must be a 1-d sequence")
-        if arr.shape[0] != self.p:
-            raise DataError(f"spectrum has {arr.shape[0]} values, expected p={self.p}")
         if not np.all(np.isfinite(arr)):
             raise DataError("spectrum contains non-finite values")
         if np.any(np.diff(arr) > 0):
@@ -117,6 +114,10 @@ class Spectrum:
         if self.n < 0:
             raise DataError("sample count n must be >= 0")
         object.__setattr__(self, "eigenvalues", arr)
+
+    @property
+    def p(self) -> int:
+        return self.eigenvalues.size
 
 
 def sample_covariance(X: DataMatrix) -> np.ndarray:
@@ -270,7 +271,7 @@ def _spectrum(arr: np.ndarray, n: int, p: int) -> Spectrum:
     snap_tol = 8.0 * p * np.finfo(float).eps * scale
     w[(w < 0.0) & (w >= -neg_tol)] = 0.0
     w[(w > 0.0) & (w <= snap_tol)] = 0.0
-    return Spectrum(w, p=p, n=n)
+    return Spectrum(w, n=n)
 
 
 def kaiser_population_count(R: np.ndarray) -> int:

@@ -9,8 +9,7 @@ from actfactors.spectral import Spectrum
 
 
 def spectrum(values, n=0):
-    values = np.asarray(values, dtype=float)
-    return Spectrum(values, p=values.size, n=n)
+    return Spectrum(values, n=n)
 
 
 def spike_map(lam, bulk, rho):

@@ -386,7 +386,7 @@ class TestCriterion9Properties:
         g3 = math.log(50.0) / 50.0
         ic_crit = [math.log(sum(mu[k:]) / 50.0) + k * g3 for k in range(4)]
         got = bai_ng_estimate(
-            Spectrum(np.array(mu), p=50, n=100), 100, 50, BaiNgVariant("IC", "g3"), 3
+            Spectrum(np.array(mu), n=100), 100, 50, BaiNgVariant("IC", "g3"), 3
         )
         checks.append(got == int(np.argmin(ic_crit)) == 2)
         checks.append(

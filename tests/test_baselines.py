@@ -133,7 +133,7 @@ class TestGapRatioArgmax:
 class TestBaiNg:
     def test_ic3_hand_example(self):
         mu = np.array([10.0, 5.0] + [1.0] * 48)
-        spec = Spectrum(mu, p=50, n=100)
+        spec = Spectrum(mu, n=100)
         g3 = math.log(50) / 50
         assert g3 == pytest.approx(0.07824, abs=1e-5)
         v = [
@@ -148,20 +148,20 @@ class TestBaiNg:
 
     def test_zero_penalty_picks_r_max(self, monkeypatch):
         mu = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 30))[::-1]
-        spec = Spectrum(mu, p=30, n=60)
+        spec = Spectrum(mu, n=60)
         monkeypatch.setattr(baselines, "_penalty", lambda penalty, n, p: 0.0)
         assert bai_ng_estimate(spec, 60, 30, BaiNgVariant("PC", "g1"), 10) == 10
 
     def test_huge_penalty_picks_zero(self, monkeypatch):
         mu = np.sort(np.random.default_rng(1).uniform(0.5, 5.0, 30))[::-1]
-        spec = Spectrum(mu, p=30, n=60)
+        spec = Spectrum(mu, n=60)
         monkeypatch.setattr(baselines, "_penalty", lambda penalty, n, p: 1e12)
         assert bai_ng_estimate(spec, 60, 30, BaiNgVariant("PC", "g1"), 10) == 0
         assert bai_ng_estimate(spec, 60, 30, BaiNgVariant("IC", "g1"), 10) == 0
 
     def test_ic_zero_variance_rejected(self):
         mu = np.array([4.0, 2.0, 0.0, 0.0, 0.0])
-        spec = Spectrum(mu, p=5, n=10)
+        spec = Spectrum(mu, n=10)
         with pytest.raises(NumericalDomain):
             bai_ng_estimate(spec, n=10, p=5, variant=BaiNgVariant("IC", "g1"), r_max=3)
 

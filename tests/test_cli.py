@@ -293,11 +293,13 @@ class TestExitCodes:
             ["--methods", "ON", "--on-r-min", "10"],
             ["--methods", "ED", "--ed-threshold", "0"],
             ["--r-max", "0"],
+            ["--methods", "KAISER", "--r-max", "-5"],
         ],
     )
     def test_estimate_option_out_of_range_is_2(self, factor_panel_csv, args, capsys):
         assert main(["estimate", factor_panel_csv, *args]) == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args",
@@ -309,12 +311,19 @@ class TestExitCodes:
             ["--r-max", "0"],
             ["--workers", "0"],
             ["--n", "2"],
+            ["--methods", "KAISER", "--r-max", "-3"],
+            ["--seed", "-1"],
         ],
     )
     def test_simulate_option_out_of_range_is_2(self, args, capsys):
         base = ["simulate", "--case", "1", "--p", "30", "--n", "60", "--k", "3", "--reps", "2"]
         assert main([*base, *args]) == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_table1_seed_is_2(self, capsys):
+        assert main(["table1", "--seeds", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed and stream must be non-negative integers\n")
 
     def test_data_error_is_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

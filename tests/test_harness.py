@@ -4,8 +4,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from actfactors import harness
 from actfactors.errors import ConfigError
 from actfactors.harness import (
     METHODS,
@@ -19,7 +21,6 @@ from actfactors.harness import (
     run_cell,
     run_experiment,
     run_table1,
-    _cell_seed,
     _one_blas_thread_children,
     _plans,
     _run_replications,
@@ -40,6 +41,12 @@ def small_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def published(name: str) -> tuple[dict, ExperimentConfig]:
+    """A committed results/ report and the config it was run from."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "results" / name).read_text())
+    return doc, ExperimentConfig(**{key: value for key, value in doc["config"].items() if key != "seed_manifest"})
 
 
 def plan_of(cell: dict) -> CellPlan:
@@ -174,8 +181,27 @@ class TestPlans:
             for family in config.families:
                 for p in config.p_values:
                     for n in config.n_values:
-                        expected.append((case_id, family, p, n, _cell_seed(11, len(expected))))
+                        seed = np.random.SeedSequence([11, len(expected)]).generate_state(1, dtype=np.uint64)[0]
+                        expected.append((case_id, family, p, n, int(seed)))
         assert [(c.case_id, c.family, c.p, c.n, c.cell_seed) for c in _plans(config)] == expected
+
+    @pytest.mark.parametrize("name", ["simulations.json", "simulations_rmax8.json"])
+    def test_published_plans_reproduce(self, name):
+        # every committed cell's plan, its cell seed included, from the report's config
+        doc, config = published(name)
+        assert len(doc["cells"]) == 32
+        assert _plans(config) == [plan_of(cell) for cell in doc["cells"]]
+
+    def test_negative_master_seed_is_refused_before_any_replication(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("ran before the seed check")
+
+        monkeypatch.setattr(harness, "_run_cells", never)
+        monkeypatch.setattr(harness, "table1_scenario", never)
+        with pytest.raises(ConfigError, match="non-negative"):
+            run_experiment(small_config(master_seed=-1))
+        with pytest.raises(ConfigError, match="non-negative"):
+            run_table1(seeds=2, master_seed=-1)
 
 
 class TestDeterminism:
@@ -228,7 +254,7 @@ class TestDeterminism:
             X = sample_data(build_case(plan.case_id, p, plan.k_true, g, family), plan.n, g)
             cov_spec, corr_spec = spectra(X)
             fresh.append({
-                m: METHODS[m][1](cov_spec if METHODS[m][0] == "cov" else corr_spec, plan.n, plan.r_max, None, 0)
+                m: METHODS[m][1](cov_spec if METHODS[m][0] == "cov" else corr_spec, plan.r_max, None, 0)
                 for m in plan.methods
             })
         for m, t in run_cell(plan).tallies.items():
@@ -282,7 +308,7 @@ class TestReportShape:
         manifest = doc["config"]["seed_manifest"]
         assert manifest["master_seed"] == 5
         assert "cell_seed_rule" in manifest
-        assert doc["cells"][0]["cell_seed"] == _cell_seed(5, 0)
+        assert doc["cells"][0]["cell_seed"] == int(np.random.SeedSequence([5, 0]).generate_state(1, dtype=np.uint64)[0])
 
     def test_cells_are_written_from_their_plans(self):
         # a cell's keys are the plan's fields in order, case_id as "case" and
@@ -306,8 +332,7 @@ class TestReportShape:
     def test_published_grid_reproduces(self, name):
         # one committed cell (case 1, gaussian, p = 100; R = 1000) rerun from
         # its plan: a change to the counts or the report format shows here
-        doc = json.loads((Path(__file__).resolve().parents[1] / "results" / name).read_text())
-        config = ExperimentConfig(**{key: value for key, value in doc["config"].items() if key != "seed_manifest"})
+        doc, config = published(name)
         (cell,) = [c for c in doc["cells"] if (c["case"], c["family"], c["p"]) == (1, "gaussian", 100)]
         report = json.loads(aggregate([run_cell(plan_of(cell))], config).to_json())
         assert report["cells"] == [cell]

@@ -177,7 +177,7 @@ def method_outcomes(cov_spec, corr_spec):
     out = {}
     for name, (basis, estimate) in METHODS.items():
         try:
-            out[name] = estimate(cov_spec if basis == "cov" else corr_spec, n, default_r_max(p, n), 0.5, 0)
+            out[name] = estimate(cov_spec if basis == "cov" else corr_spec, default_r_max(p, n), 0.5, 0)
         except ActFactorsError as exc:
             out[name] = type(exc).__name__
     return out
@@ -425,15 +425,29 @@ class TestOneDomain:
 class TestSpectrumInvariants:
     def test_rejects_increasing(self):
         with pytest.raises(DataError):
-            Spectrum(np.array([1.0, 2.0]), p=2)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(DataError):
-            Spectrum(np.array([1.0, 0.5]), p=3)
+            Spectrum(np.array([1.0, 2.0]))
 
     def test_rejects_deep_negative(self):
         with pytest.raises(DataError):
-            Spectrum(np.array([1.0, -0.5]), p=2)
+            Spectrum(np.array([1.0, -0.5]))
+
+    def test_p_is_the_eigenvalue_count(self):
+        spec = Spectrum([3.0, 2.0, 1.0])
+        assert (spec.p, spec.n) == (3, 0)
+
+    def test_n_is_keyword_only_and_p_is_not_an_argument(self):
+        # an old positional p must not be read as the sample count
+        values = np.array([3.0, 2.0, 1.0])
+        with pytest.raises(TypeError):
+            Spectrum(values, p=3)
+        with pytest.raises(TypeError):
+            Spectrum(values, 5)
+
+    @pytest.mark.parametrize("route", [spectra, square_spectra])
+    def test_both_routes_carry_the_panel_shape_at_p_above_n(self, route):
+        X = DataMatrix(np.random.default_rng(4).standard_normal((12, 30)))
+        for spec in route(X):
+            assert (spec.p, spec.n) == (30, 12)
 
 
 class TestDataMatrix:
@@ -478,11 +492,11 @@ class TestKaiserCounts:
         assert kaiser_population_count(np.eye(8)) == 0
 
     def test_naive_direct(self):
-        spec = Spectrum(np.array([2.5, 1.2, 0.8, 0.5]), p=4, n=100)
+        spec = Spectrum(np.array([2.5, 1.2, 0.8, 0.5]), n=100)
         assert naive_kaiser_estimate(spec) == 2
 
     def test_naive_all_below(self):
-        spec = Spectrum(np.array([1.0, 0.9, 0.6]), p=3, n=50)
+        spec = Spectrum(np.array([1.0, 0.9, 0.6]), n=50)
         assert naive_kaiser_estimate(spec) == 0
 
     def test_naive_overcounts_on_square_noise(self):
