@@ -19,6 +19,7 @@ from .spectral import Spectrum
 
 __all__ = [
     "BaiNgVariant",
+    "check_gap_threshold",
     "er_estimate",
     "gr_estimate",
     "ed_estimate",
@@ -51,6 +52,12 @@ class BaiNgVariant:
 def _check_r_max(r_max: int, upper: int, what: str) -> None:
     if not 1 <= r_max <= upper:
         raise ConfigError(f"{what} needs 1 <= r_max <= {upper}, got {r_max}")
+
+
+def check_gap_threshold(threshold: float | None) -> None:
+    """The gap threshold's rule: None (no threshold given) or finite and positive."""
+    if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
+        raise ConfigError(f"gap threshold must be finite and positive, got {threshold}")
 
 
 def _tail_sums(lam: np.ndarray) -> np.ndarray:
@@ -94,8 +101,7 @@ def ed_estimate(spec: Spectrum, threshold: float, r_max: int) -> int:
     There is no default threshold: None is a ConfigError."""
     if threshold is None:
         raise ConfigError("ED needs an explicit gap threshold (ed_threshold, --ed-threshold)")
-    if not threshold > 0.0:
-        raise ConfigError(f"gap threshold must be positive, got {threshold}")
+    check_gap_threshold(threshold)
     _check_r_max(r_max, spec.p - 1, "eigenvalue difference")
     lam = spec.eigenvalues
     gaps = lam[:r_max] - lam[1 : r_max + 1]

@@ -58,10 +58,12 @@ def estimate_report(
     # It runs first, so a panel it refuses is a data error before any option
     cov_spec, corr_spec = square_spectra(X)
     r_max = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
-    counts = count_factors(methods, {"cov": cov_spec, "corr": corr_spec}, r_max, ed_threshold, on_r_min, basis)
+    by_basis = {"cov": cov_spec, "corr": corr_spec}
+    counts = count_factors(methods, by_basis, r_max, ed_threshold, on_r_min, basis)
     results = {m: {"error": k} if isinstance(k, str) else {"k": k} for m, k in counts.items()}
     try:
-        adj = adjust_eigenvalues(corr_spec, n, r_max)
+        # the spectrum ACT counts on, so the adjusted values explain its count
+        adj = adjust_eigenvalues(by_basis[basis or METHODS["ACT"][0]], n, r_max)
         adjusted_info = {
             "adjusted_eigenvalues": adj.adjusted.tolist(),
             "jittered_ties": adj.jittered,

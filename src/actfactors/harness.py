@@ -20,7 +20,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .act import act_estimate, default_r_max
-from .baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
+from .baselines import (
+    BaiNgVariant, bai_ng_estimate, check_gap_threshold, ed_estimate, er_estimate, gr_estimate, on_estimate,
+)
 from .errors import ActFactorsError, ConfigError
 from .models import SeededRng, build_case, sample_data, population_correlation, table1_scenario
 from .spectral import Spectrum, kaiser_population_count, naive_kaiser_estimate, spectra
@@ -86,10 +88,10 @@ def check_method_options(
     methods: tuple[str, ...], p: int, n: int, r_max: int | None, ed_threshold: float | None, on_r_min: int
 ) -> int:
     """Return r_max, default_r_max(p, n) when None, after raising ConfigError
-    if an option is out of range for a method at (p, n), or if r_max < 1
-    whatever the methods. Each method runs once on a strictly decreasing
-    positive spectrum, on which no estimator meets a data error, so the
-    bounds checked are the estimators' own."""
+    if an option is out of range for a method at (p, n), or breaks its
+    run-wide rule whatever the methods. Each method runs once on a strictly
+    decreasing positive spectrum, on which no estimator meets a data error,
+    so the bounds checked are the estimators' own."""
     r_max = default_r_max(p, n) if r_max is None else r_max
     probe = Spectrum(np.linspace(2.0, 1.0, p), n=n)
     for m in methods:
@@ -97,9 +99,13 @@ def check_method_options(
             METHODS[m][1](probe, r_max, ed_threshold, on_r_min)
         except ConfigError as exc:
             raise ConfigError(f"method {m} at p={p}, n={n}: {exc}") from None
-    # a method list that never reads r_max (KAISER alone) still reports it
-    if r_max < 1:
-        raise ConfigError(f"r_max must be >= 1, got {r_max}")
+    # every option a report records meets its rule, whether or not a method
+    # reads it; p - 1 is the widest r_max any estimator admits
+    if not 1 <= r_max <= p - 1:
+        raise ConfigError(f"r_max must satisfy 1 <= r_max <= p-1={p - 1}, got {r_max}")
+    if not 0 <= on_r_min < r_max:
+        raise ConfigError(f"on_r_min must satisfy 0 <= on_r_min < r_max={r_max}, got {on_r_min}")
+    check_gap_threshold(ed_threshold)
     return r_max
 
 
@@ -153,7 +159,8 @@ class ExperimentConfig:
                 raise ConfigError(f"need n >= 3, got {n}")
             if p < self.k_true + 2:
                 raise ConfigError(f"need p >= K+2, got p={p}, K={self.k_true}")
-            check_method_options(self.methods, p, n, self.r_max, self.ed_threshold, self.on_r_min)
+        # the plans run_experiment runs check the options and the master seed
+        _plans(self)
         # build_case refuses an unknown case id or family, and K < 1
         for case_id, family, p in itertools.product(self.cases, self.families, self.p_values):
             build_case(case_id, p, self.k_true, np.random.default_rng(0), family)

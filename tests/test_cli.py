@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import actfactors
-from actfactors.act import act_estimate, adjust_eigenvalues, default_r_max
+from actfactors.act import AdjustedSpectrum, act_estimate, act_select, adjust_eigenvalues, default_r_max
 from actfactors.analysis import ols_r2, pc_scores
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
@@ -104,6 +104,19 @@ class TestEstimateCommand:
         assert forced["config"]["basis"] == "corr"
         with pytest.raises(ConfigError):
             estimate_report(ds, methods=("ER",), basis="both")
+
+    @pytest.mark.parametrize("basis", [None, "cov", "corr"])
+    def test_adjusted_values_explain_the_act_count(self, basis):
+        # series scales spread over e^-3..e^3, so ACT counts 24 on the
+        # covariance spectrum and 2 on the correlation spectrum
+        n, p = 120, 60
+        g = np.random.default_rng(3)
+        X = g.standard_normal((n, 2)) @ g.standard_normal((2, p)) + g.standard_normal((n, p))
+        X *= np.exp(g.uniform(-3, 3, p))
+        ds = PanelDataset(tuple(f"s{i}" for i in range(p)), DataMatrix(X))
+        report = estimate_report(ds, methods=("ACT",), basis=basis)
+        adjusted = AdjustedSpectrum(np.array(report["adjusted_eigenvalues"]), report["threshold"])
+        assert act_select(adjusted) == report["methods"]["ACT"]["k"] == (24 if basis == "cov" else 2)
 
     def test_cli_json_output(self, factor_panel_csv, capsys):
         rc = main(["estimate", factor_panel_csv, "--methods", "ACT", "ER"])
@@ -230,6 +243,70 @@ class TestFrontEndsAgree:
             assert simulated[m]["failures"] == [text] and simulated[m]["failed_count"] == 2
             assert estimated[m] == {"error": text}
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(methods=("ACT",), on_r_min=-5, ed_threshold=-1.0),
+            dict(methods=("ACT",), on_r_min=99),
+            dict(methods=("KAISER",), r_max=100000),
+            dict(methods=("ED",), ed_threshold=math.inf),
+            dict(methods=("ACT",), ed_threshold=math.nan),
+        ],
+    )
+    def test_same_option_rule(self, options):
+        n, p = 120, 20
+        X = DataMatrix(SeededRng(65).generator().standard_normal((n, p)))
+        ds = PanelDataset(tuple(f"s{i}" for i in range(p)), X)
+        with pytest.raises(ConfigError) as estimated:
+            estimate_report(ds, **options)
+        with pytest.raises(ConfigError) as simulated:
+            ExperimentConfig(p_values=(p,), n_values=(n,), **options)
+        assert str(estimated.value) == str(simulated.value)
+
+
+def strict_json(text: str):
+    """json.loads, refusing the NaN and Infinity that Python's json writes but JSON lacks."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Every report of a valid call is strict JSON, on both spectra routes."""
+
+    ALL = list(METHODS)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "{wide}"],
+            ["estimate", "{tall}"],
+            ["estimate", "{tall}", "--clean", "--basis", "cov", "--methods", *ALL, "--ed-threshold", "0.5"],
+            ["estimate", "{wide}", "--basis", "corr", "--methods", *ALL, "--ed-threshold", "0.5", "--on-r-min", "1"],
+            ["estimate", "{wide}", "--basis", "cov", "--methods", *ALL, "--ed-threshold", "0.5"],
+            ["analyze", "{tall}", "--factors", "{factors_tall}"],
+            ["analyze", "{wide}", "--factors", "{factors_wide}", "--k", "2"],
+            ["simulate", "--case", "1", "2", "--p", "20", "--n", "40", "--k", "3", "--reps", "2", "--family", "both",
+             "--methods", *ALL, "--ed-threshold", "0.5"],
+            ["simulate", "--case", "3", "4", "--p", "60", "--n", "30", "--k", "3", "--reps", "2",
+             "--methods", *ALL, "--ed-threshold", "0.5", "--fixed-loadings"],
+            ["table1", "--seeds", "1"],
+        ],
+        ids=["estimate-wide", "estimate-tall", "estimate-cov-tall", "estimate-corr-wide", "estimate-cov-wide",
+             "analyze-tall", "analyze-wide", "simulate-tall", "simulate-wide", "table1"],
+    )
+    def test_report_parses_strictly(self, tmp_path, capsys, args):
+        g = SeededRng(66).generator()
+        paths = {}
+        for name, (n, p) in {"tall": (120, 20), "wide": (30, 60)}.items():
+            X = sample_data(build_case(1, p, 3, g), n, g).values
+            paths[name] = write_panel_csv(tmp_path / f"{name}.csv", X)
+            paths[f"factors_{name}"] = write_panel_csv(tmp_path / f"f_{name}.csv", X[:, :2], names=["f1", "f2"])
+        assert main([arg.format(**paths) for arg in args]) == 0
+        assert strict_json(capsys.readouterr().out)
+
 
 #: perfbench's tolerance for floats in its reference outputs
 BLAS_RTOL = 1e-9
@@ -276,6 +353,17 @@ class TestBlasThreads:
         assert_close(one, two)
 
 
+#: options out of their run-wide rule that no requested method reads (or a
+#: threshold ED reads that is not finite); both front ends refuse each one
+OPTIONS_NO_METHOD_CHECKS = [
+    ["--methods", "ACT", "--on-r-min", "-5", "--ed-threshold", "-1"],
+    ["--methods", "ACT", "--on-r-min", "99"],
+    ["--methods", "KAISER", "--r-max", "100000"],
+    ["--methods", "ED", "--ed-threshold", "inf"],
+    ["--methods", "ACT", "--ed-threshold", "nan"],
+]
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, factor_panel_csv):
         assert main(["estimate", factor_panel_csv, "--methods", "NOPE"]) == 2
@@ -294,6 +382,7 @@ class TestExitCodes:
             ["--methods", "ED", "--ed-threshold", "0"],
             ["--r-max", "0"],
             ["--methods", "KAISER", "--r-max", "-5"],
+            *OPTIONS_NO_METHOD_CHECKS,
         ],
     )
     def test_estimate_option_out_of_range_is_2(self, factor_panel_csv, args, capsys):
@@ -313,6 +402,7 @@ class TestExitCodes:
             ["--n", "2"],
             ["--methods", "KAISER", "--r-max", "-3"],
             ["--seed", "-1"],
+            *OPTIONS_NO_METHOD_CHECKS,
         ],
     )
     def test_simulate_option_out_of_range_is_2(self, args, capsys):

@@ -1,13 +1,17 @@
+import itertools
 import json
+import math
 import os
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actfactors import harness
+from actfactors.act import default_r_max
 from actfactors.errors import ConfigError
 from actfactors.harness import (
     METHODS,
@@ -87,6 +91,31 @@ class TestConfigValidation:
     def test_option_out_of_method_range(self, kw):
         with pytest.raises(ConfigError):
             small_config(**kw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        methods=st.lists(st.sampled_from(list(METHODS)), min_size=1, max_size=4, unique=True),
+        r_max=st.none() | st.integers(-3, 90),
+        on_r_min=st.integers(-3, 90),
+        ed_threshold=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+        p_values=st.lists(st.integers(5, 80), min_size=1, max_size=2),
+        n_values=st.lists(st.integers(3, 80), min_size=1, max_size=2),
+    )
+    def test_every_recorded_option_meets_its_rule(self, methods, r_max, on_r_min, ed_threshold, p_values, n_values):
+        try:
+            config = small_config(
+                methods=methods, r_max=r_max, on_r_min=on_r_min, ed_threshold=ed_threshold,
+                p_values=p_values, n_values=n_values, replications=1,
+            )
+        except ConfigError:
+            return
+        options = asdict(config)
+        threshold = options["ed_threshold"]
+        assert threshold is None or (math.isfinite(threshold) and threshold > 0.0)
+        for p, n in itertools.product(config.p_values, config.n_values):
+            r = default_r_max(p, n) if options["r_max"] is None else options["r_max"]
+            assert 1 <= r <= p - 1
+            assert 0 <= options["on_r_min"] < r
 
     def test_ed_needs_threshold(self):
         with pytest.raises(ConfigError):
