@@ -12,7 +12,7 @@ import inspect
 import json
 import sys
 
-from .act import act_estimate, act_threshold, adjust_eigenvalues
+from .act import act_estimate, act_threshold
 from .analysis import ols_r2, pc_scores, projection_distance, variance_explained
 from .errors import ActFactorsError, ConfigError, DataError
 from .harness import (
@@ -31,7 +31,7 @@ from .spectral import square_spectra
 
 __all__ = ["main", "estimate_report", "analyze_report"]
 
-REPORT_SCHEMA = "actfactors/estimate-report/v1"
+REPORT_SCHEMA = "actfactors/estimate-report/v2"
 DEFAULT_METHODS = ("ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER")
 
 
@@ -43,10 +43,10 @@ def estimate_report(
     on_r_min: int = 0,
     basis: str | None = None,
 ) -> dict:
-    """Per-method factor counts for one panel, with the spectra and the
-    adjusted eigenvalues behind them. Options out of range for a requested
-    method raise ConfigError before any estimate; method errors on the data
-    are recorded per method and do not abort the run."""
+    """Per-method factor counts for one panel, with the spectra and, when ACT
+    counted, the adjusted eigenvalues behind its count. Options out of range
+    for a requested method raise ConfigError before any estimate; method
+    errors on the data are recorded per method and do not abort the run."""
     X = ds.data
     n, p = X.n, X.p
     methods = canonical_methods(methods)
@@ -59,17 +59,11 @@ def estimate_report(
     cov_spec, corr_spec = square_spectra(X)
     r_max = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     by_basis = {"cov": cov_spec, "corr": corr_spec}
-    counts = count_factors(methods, by_basis, r_max, ed_threshold, on_r_min, basis)
+    counts, evidence = count_factors(methods, by_basis, r_max, ed_threshold, on_r_min, basis)
     results = {m: {"error": k} if isinstance(k, str) else {"k": k} for m, k in counts.items()}
-    try:
-        # the spectrum ACT counts on, so the adjusted values explain its count
-        adj = adjust_eigenvalues(by_basis[basis or METHODS["ACT"][0]], n, r_max)
-        adjusted_info = {
-            "adjusted_eigenvalues": adj.adjusted.tolist(),
-            "jittered_ties": adj.jittered,
-        }
-    except ActFactorsError as exc:
-        adjusted_info = {"adjusted_error": f"{type(exc).__name__}: {exc}"}
+    # the values ACT's count was selected on, present only when ACT counted
+    adj = evidence.get("ACT")
+    adjusted = {} if adj is None else {"adjusted_eigenvalues": adj.adjusted.tolist(), "jittered_ties": adj.jittered}
     return {
         "schema": REPORT_SCHEMA,
         "n": n,
@@ -87,7 +81,7 @@ def estimate_report(
             "covariance_top": cov_spec.eigenvalues[:r_max].tolist(),
             "correlation_top": corr_spec.eigenvalues[:r_max].tolist(),
         },
-        **adjusted_info,
+        **adjusted,
         "methods": results,
         "cleaning_log": [dict(entry) for entry in ds.cleaning_log],
     }

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .act import act_estimate, default_r_max
+from .act import act_select, adjust_eigenvalues, default_r_max
 from .baselines import (
     BaiNgVariant, bai_ng_estimate, check_gap_threshold, ed_estimate, er_estimate, gr_estimate, on_estimate,
 )
@@ -48,21 +48,22 @@ REPORT_SCHEMA = "actfactors/replication-report/v1"
 
 #: method name -> (default spectrum, estimator call). Every call takes
 #: (spectrum, r_max, ed_threshold, on_r_min), reads p and n from the
-#: spectrum, and returns the count.
+#: spectrum, and returns (count, evidence): ACT's evidence is the
+#: AdjustedSpectrum its count was selected on, every other method's is None.
 #: ON2 is an alias for ON: the gap-ratio argmax with the shared r_min and
 #: r_max; the alias exists for table layouts and is noted in report metadata.
 METHODS = {
-    "ACT": ("corr", lambda s, r_max, ed, r_min: act_estimate(s, s.n, r_max)),
-    "ER": ("cov", lambda s, r_max, ed, r_min: er_estimate(s, r_max)),
-    "GR": ("cov", lambda s, r_max, ed, r_min: gr_estimate(s, r_max)),
-    "ED": ("cov", lambda s, r_max, ed, r_min: ed_estimate(s, ed, r_max)),
-    "ON": ("cov", lambda s, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
-    "ON2": ("cov", lambda s, r_max, ed, r_min: on_estimate(s, r_min, r_max)),
-    "KAISER": ("corr", lambda s, r_max, ed, r_min: naive_kaiser_estimate(s)),
+    "ACT": ("corr", lambda s, r_max, ed, r_min: (act_select(a := adjust_eigenvalues(s, s.n, r_max)), a)),
+    "ER": ("cov", lambda s, r_max, ed, r_min: (er_estimate(s, r_max), None)),
+    "GR": ("cov", lambda s, r_max, ed, r_min: (gr_estimate(s, r_max), None)),
+    "ED": ("cov", lambda s, r_max, ed, r_min: (ed_estimate(s, ed, r_max), None)),
+    "ON": ("cov", lambda s, r_max, ed, r_min: (on_estimate(s, r_min, r_max), None)),
+    "ON2": ("cov", lambda s, r_max, ed, r_min: (on_estimate(s, r_min, r_max), None)),
+    "KAISER": ("corr", lambda s, r_max, ed, r_min: (naive_kaiser_estimate(s), None)),
     **{
         name: (
             "cov",
-            lambda s, r_max, ed, r_min, v=BaiNgVariant.parse(name): bai_ng_estimate(s, s.n, s.p, v, r_max),
+            lambda s, r_max, ed, r_min, v=BaiNgVariant.parse(name): (bai_ng_estimate(s, s.n, s.p, v, r_max), None),
         )
         for name in ("IC1", "IC2", "IC3", "PC1", "PC2", "PC3")
     },
@@ -111,17 +112,18 @@ def check_method_options(
 
 def count_factors(
     methods, by_basis: dict, r_max: int, ed_threshold: float | None, on_r_min: int, basis: str | None = None
-) -> dict:
-    """Per method, its count on by_basis["cov"] or by_basis["corr"] (its own basis, or
-    ``basis`` for every method), or "Type: message" if its estimator raised."""
-    out = {}
+) -> tuple[dict, dict]:
+    """(counts, evidence). counts: per method, its count on by_basis["cov"] or by_basis["corr"]
+    (its own basis, or ``basis`` for every method), or "Type: message" if its estimator raised.
+    evidence: per method that counted, the evidence returned with its count, if not None."""
+    counts, evidence = {}, {}
     for m in methods:
         default_basis, estimate = METHODS[m]
         try:
-            out[m] = estimate(by_basis[basis or default_basis], r_max, ed_threshold, on_r_min)
+            counts[m], evidence[m] = estimate(by_basis[basis or default_basis], r_max, ed_threshold, on_r_min)
         except ActFactorsError as exc:
-            out[m] = f"{type(exc).__name__}: {exc}"
-    return out
+            counts[m] = f"{type(exc).__name__}: {exc}"
+    return counts, {m: detail for m, detail in evidence.items() if detail is not None}
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,7 @@ def _run_replications(plan: CellPlan, start: int, stop: int) -> dict:
         spec = fixed_spec or build_case(plan.case_id, plan.p, plan.k_true, g, plan.family)
         cov_spec, corr_spec = spectra(sample_data(spec, plan.n, g, out=panel))
         by_basis = {"cov": cov_spec, "corr": corr_spec}
-        counts = count_factors(plan.methods, by_basis, plan.r_max, plan.ed_threshold, plan.on_r_min)
+        counts, _ = count_factors(plan.methods, by_basis, plan.r_max, plan.ed_threshold, plan.on_r_min)
         for m, k in counts.items():
             outcomes[m].append(k)
     return outcomes

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import actfactors
+from actfactors import act as act_module
 from actfactors.act import AdjustedSpectrum, act_estimate, act_select, adjust_eigenvalues, default_r_max
 from actfactors.analysis import ols_r2, pc_scores
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
@@ -75,26 +76,45 @@ class TestEstimateCommand:
         log = json.loads(out.read_text())["cleaning_log"]
         assert log == [{"series": "s4", "row": 31, "value": 1e4, "action": "replaced-median"}]
 
-    def test_method_errors_do_not_abort(self, tmp_path, capsys):
+    def test_method_errors_do_not_abort(self, tmp_path, factor_panel_csv, capsys):
         # at n < p both spectra end in exact zeros (rank n - 1): a method that
         # needs a positive tail or a strict gap within r_max records its error,
-        # and the others still count; ACT's error also replaces the adjusted values
+        # and the others still count; the adjusted values are written only when
+        # ACT counted, so ACT's error is in its methods entry alone
         tail_sum_zero = {
             "GR": "NumericalDomain: tail sum V_10 must be positive",
             "IC3": "NumericalDomain: V(k) hit zero; IC criterion undefined",
         }
         tie_at_zero = {"ACT": "DegenerateGap: cannot jitter a tie at eigenvalue 0"}
-        for n, args, errors in (
-            (10, ["--r-max", "9"], tail_sum_zero),
-            (5, ["--methods", "ACT", "KAISER", "--r-max", "6"], tie_at_zero),
+
+        def noise(n):
+            return write_panel_csv(tmp_path / f"noise-{n}.csv", np.random.default_rng(0).standard_normal((n, 50)))
+
+        for path, args, errors in (
+            (noise(10), ["--r-max", "9"], tail_sum_zero),
+            (noise(5), ["--methods", "ACT", "KAISER", "--r-max", "6"], tie_at_zero),
+            # r_max = p - 1 on the 120 x 20 panel is past ACT's p - 2, but ACT was not requested
+            (factor_panel_csv, ["--methods", "ER", "--r-max", "19"], {}),
         ):
-            path = write_panel_csv(tmp_path / f"noise-{n}.csv", np.random.default_rng(0).standard_normal((n, 50)))
             assert main(["estimate", path, *args]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert {m: entry["error"] for m, entry in doc["methods"].items() if "error" in entry} == errors
             assert all("k" in entry for m, entry in doc["methods"].items() if m not in errors)
-            assert doc.get("adjusted_error") == errors.get("ACT")
-            assert ("adjusted_eigenvalues" in doc) == ("ACT" not in errors)
+            act_counted = "k" in doc["methods"].get("ACT", {})
+            adjusted_keys = sorted(key for key in doc if key.startswith("adjusted") or key == "jittered_ties")
+            assert adjusted_keys == (["adjusted_eigenvalues", "jittered_ties"] if act_counted else [])
+
+    def test_one_act_evaluation_per_report(self, factor_panel_csv, monkeypatch):
+        # ACT's count and the adjusted values it reports come from one
+        # evaluation of the correction formula on the panel's correlation
+        # spectrum (the option check evaluates it on a synthetic spectrum)
+        seen = []
+        stieltjes = act_module._stieltjes
+        monkeypatch.setattr(act_module, "_stieltjes", lambda lam, *args: seen.append(lam) or stieltjes(lam, *args))
+        report = estimate_report(ingest_csv(factor_panel_csv), methods=("ACT", "ER"))
+        top = report["eigenvalues"]["correlation_top"]
+        assert sum(lam[: len(top)].tolist() == top for lam in seen) == 1
+        assert "k" in report["methods"]["ACT"] and "adjusted_eigenvalues" in report
 
     def test_basis_override(self, factor_panel_csv):
         ds = ingest_csv(factor_panel_csv)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -47,9 +48,12 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
 def published(name: str) -> tuple[dict, ExperimentConfig]:
     """A committed results/ report and the config it was run from."""
-    doc = json.loads((Path(__file__).resolve().parents[1] / "results" / name).read_text())
+    doc = json.loads((RESULTS / name).read_text())
     return doc, ExperimentConfig(**{key: value for key, value in doc["config"].items() if key != "seed_manifest"})
 
 
@@ -283,7 +287,7 @@ class TestDeterminism:
             X = sample_data(build_case(plan.case_id, p, plan.k_true, g, family), plan.n, g)
             cov_spec, corr_spec = spectra(X)
             fresh.append({
-                m: METHODS[m][1](cov_spec if METHODS[m][0] == "cov" else corr_spec, plan.r_max, None, 0)
+                m: METHODS[m][1](cov_spec if METHODS[m][0] == "cov" else corr_spec, plan.r_max, None, 0)[0]
                 for m in plan.methods
             })
         for m, t in run_cell(plan).tallies.items():
@@ -404,6 +408,84 @@ class TestReportShape:
         text = render_text_table(report)
         for token in ("TRUE", "OVER", "UNDER", "AVE", "ACT", "Case 1"):
             assert token in text
+
+
+#: the baselines results/README.md weighs ACT against, in its tie-listing order
+BASELINES = ("PC3", "IC3", "ON2", "ER", "GR")
+
+
+def verdict_columns(cell: dict) -> list[str]:
+    """One published cell as results/README.md's verdict table prints it: the
+    best baseline's TRUE share with its ties, ACT - best ± 2 SE in points,
+    and the verdict (lead or trail past 2 SE, else tie)."""
+    R = cell["replications"]
+    true = {m: cell["methods"][m]["true_count"] for m in ("ACT", *BASELINES)}
+    best = max(true[m] for m in BASELINES)
+    diff = 100.0 * (true["ACT"] - best) / R
+    two_se = 200.0 * math.sqrt(sum(q * (1.0 - q) / R for q in (true["ACT"] / R, best / R)))
+    verdict = "lead" if diff > two_se else "trail" if diff < -two_se else "tie"
+    names = "/".join(m for m in BASELINES if true[m] == best)
+    return [f"{names} {100.0 * best / R:.1f}", f"{diff:+.1f} ± {two_se:.2f}", verdict]
+
+
+class TestPublishedVerdicts:
+    """results/README.md's verdict table and summaries, recomputed from the
+    two committed reports: r_max 50 (simulations.json) and 8 (simulations_rmax8.json)."""
+
+    @pytest.fixture(scope="class")
+    def readme(self):
+        return (RESULTS / "README.md").read_text()
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {
+            r_max: {(c["case"], c["family"], c["p"]): c for c in json.loads((RESULTS / name).read_text())["cells"]}
+            for r_max, name in ((50, "simulations.json"), (8, "simulations_rmax8.json"))
+        }
+
+    @staticmethod
+    def verdicts(cells) -> list[int]:
+        tally = Counter(verdict_columns(cell)[2] for cell in cells)
+        return [tally["lead"], tally["tie"], tally["trail"]]
+
+    def test_verdict_table(self, readme, runs):
+        rows = [[col.strip() for col in line.strip().strip("|").split("|")]
+                for line in readme.splitlines() if re.match(r"\| \d", line)]
+        # every share is of all R replications: no method failed in any cell
+        tallies = [t for cells in runs.values() for c in cells.values() for t in c["methods"].values()]
+        assert all(t["failed_count"] == 0 for t in tallies)
+        assert rows == [
+            [str(case), family, str(p), f"{cell['methods']['ACT']['true_pct']:.1f}",
+             *verdict_columns(cell), *verdict_columns(runs[8][case, family, p])]
+            for (case, family, p), cell in runs[50].items()
+        ]
+        assert len(rows) == 32
+
+    def test_verdict_summaries(self, readme, runs):
+        overall = re.search(
+            r"ACT led in (\d+), tied in (\d+) and trailed in (\d+) at `r_max` 50,\s+"
+            r"and led in (\d+), tied in (\d+) and trailed in (\d+) at `r_max` 8", readme
+        )
+        assert [int(x) for x in overall.groups()] == self.verdicts(runs[50].values()) + self.verdicts(runs[8].values())
+        hetero = re.search(r"ACT led in (\d+) of the 16 cells, tied in (\d+) and trailed in (\d+),\s+at either", readme)
+        for cells in runs.values():
+            assert [int(x) for x in hetero.groups()] == self.verdicts(c for key, c in cells.items() if key[0] in (2, 4))
+
+    def test_act_counts_do_not_depend_on_r_max(self, readme, runs):
+        assert "ACT's counts do not depend on `r_max` here." in readme
+        assert runs[50].keys() == runs[8].keys()
+        assert all(runs[50][key]["methods"]["ACT"] == runs[8][key]["methods"]["ACT"] for key in runs[50])
+
+    def test_act_over_share_by_p(self, readme, runs):
+        claim = re.search(
+            r"OVER share is ([\d.]+)-([\d.]+)% at p = 100\s+and ([\d.]+)-([\d.]+)% at p = 1000, "
+            r"with a standard error of at most ([\d.]+) points", readme
+        )
+        acts = {p: [c["methods"]["ACT"] for key, c in runs[50].items() if key[2] == p] for p in (100, 1000)}
+        shares = [f"{f(t['over_pct'] for t in acts[p]):.1f}" for p in (100, 1000) for f in (min, max)]
+        (R,) = {c["replications"] for c in runs[50].values()}
+        se = max(100.0 * math.sqrt(q * (1.0 - q) / R) for p in acts for q in (t["over_count"] / R for t in acts[p]))
+        assert [*shares, f"{se:.1f}"] == list(claim.groups())
 
 
 class TestTable1:

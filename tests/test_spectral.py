@@ -177,7 +177,7 @@ def method_outcomes(cov_spec, corr_spec):
     out = {}
     for name, (basis, estimate) in METHODS.items():
         try:
-            out[name] = estimate(cov_spec if basis == "cov" else corr_spec, default_r_max(p, n), 0.5, 0)
+            out[name] = estimate(cov_spec if basis == "cov" else corr_spec, default_r_max(p, n), 0.5, 0)[0]
         except ActFactorsError as exc:
             out[name] = type(exc).__name__
     return out
