@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGap, PoleAtZ
+from .errors import ConfigError, DataError, DegenerateGap, PoleAtZ
 from .spectral import Spectrum
 
 __all__ = [
@@ -57,9 +57,9 @@ class AdjustedSpectrum:
     def __post_init__(self):
         arr = np.asarray(self.adjusted, dtype=float)
         if arr.ndim != 1:
-            raise ConfigError("adjusted values must be a 1-d sequence")
+            raise DataError("adjusted values must be a 1-d sequence")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ConfigError("adjusted eigenvalues must be finite and positive")
+            raise DataError("adjusted eigenvalues must be finite and positive")
         object.__setattr__(self, "adjusted", arr)
 
 
@@ -154,7 +154,7 @@ def act_select(adjusted: AdjustedSpectrum) -> int:
     return int(hits[-1] + 1) if hits.size else 0
 
 
-def act_estimate(spec: Spectrum, n: int, r_max: int | None = None) -> int:
-    """Adjusted correlation thresholding count from a correlation spectrum."""
-    return act_select(adjust_eigenvalues(spec, n, r_max))
+def act_estimate(spec: Spectrum, *, r_max: int | None = None) -> int:
+    """Adjusted correlation thresholding count from a correlation spectrum and its n."""
+    return act_select(adjust_eigenvalues(spec, spec.n, r_max))
 

@@ -101,7 +101,7 @@ def analyze_report(ds: PanelDataset, factors: PanelDataset, k: int | None = None
         )
     # estimate's spectra, so both subcommands report the same ACT count
     _, corr_spec = square_spectra(X)
-    act_k = act_estimate(corr_spec, n)
+    act_k = act_estimate(corr_spec)
     use_k = k if k is not None else act_k
     if use_k < 1:
         raise DataError(f"selected factor count k={use_k} is not positive")

@@ -90,16 +90,12 @@ def check_method_options(
 ) -> int:
     """Return r_max, default_r_max(p, n) when None, after raising ConfigError
     if an option is out of range for a method at (p, n), or breaks its
-    run-wide rule whatever the methods. Each method runs once on a strictly
-    decreasing positive spectrum, on which no estimator meets a data error,
-    so the bounds checked are the estimators' own."""
+    run-wide rule whatever the methods. The methods run on an all-zero
+    spectrum, where each estimator checks its options before it reads a
+    value and computes nothing, so the bounds checked are its own."""
     r_max = default_r_max(p, n) if r_max is None else r_max
-    probe = Spectrum(np.linspace(2.0, 1.0, p), n=n)
-    for m in methods:
-        try:
-            METHODS[m][1](probe, r_max, ed_threshold, on_r_min)
-        except ConfigError as exc:
-            raise ConfigError(f"method {m} at p={p}, n={n}: {exc}") from None
+    probe = Spectrum(np.zeros(p), n=n)
+    count_factors(methods, {"cov": probe, "corr": probe}, r_max, ed_threshold, on_r_min)
     # every option a report records meets its rule, whether or not a method
     # reads it; p - 1 is the widest r_max any estimator admits
     if not 1 <= r_max <= p - 1:
@@ -114,13 +110,17 @@ def count_factors(
     methods, by_basis: dict, r_max: int, ed_threshold: float | None, on_r_min: int, basis: str | None = None
 ) -> tuple[dict, dict]:
     """(counts, evidence). counts: per method, its count on by_basis["cov"] or by_basis["corr"]
-    (its own basis, or ``basis`` for every method), or "Type: message" if its estimator raised.
+    (its own basis, or ``basis`` for every method), or "Type: message" if its estimator raised
+    any error but a ConfigError, which is raised with the method and the spectrum's p and n.
     evidence: per method that counted, the evidence returned with its count, if not None."""
     counts, evidence = {}, {}
     for m in methods:
         default_basis, estimate = METHODS[m]
+        spec = by_basis[basis or default_basis]
         try:
-            counts[m], evidence[m] = estimate(by_basis[basis or default_basis], r_max, ed_threshold, on_r_min)
+            counts[m], evidence[m] = estimate(spec, r_max, ed_threshold, on_r_min)
+        except ConfigError as exc:
+            raise ConfigError(f"method {m} at p={spec.p}, n={spec.n}: {exc}") from None
         except ActFactorsError as exc:
             counts[m] = f"{type(exc).__name__}: {exc}"
     return counts, {m: detail for m, detail in evidence.items() if detail is not None}

@@ -271,7 +271,7 @@ def test_criterion_8_counterexample():
         r_max = default_r_max(p, n)
         if er_estimate(eigenvalues_desc(cov, n), r_max) >= K + 1:
             er_over += 1
-        if act_estimate(eigenvalues_desc(to_correlation(cov), n), n, r_max) == K:
+        if act_estimate(eigenvalues_desc(to_correlation(cov), n), r_max=r_max) == K:
             act_true += 1
     report(
         "8 scaled-noise counterexample",
@@ -310,8 +310,8 @@ class TestCriterion9Properties:
             n, p, k = 60, 15, 2
             X = g.standard_normal((n, k)) @ g.uniform(-1, 1, (k, p)) + g.standard_normal((n, p))
             d = g.uniform(1e-4, 1e4, p)
-            a = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X))), n), n)
-            b = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X * d))), n), n)
+            a = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X))), n))
+            b = act_estimate(eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X * d))), n))
             if a != b:
                 mism += 1
         report(
@@ -425,8 +425,8 @@ def test_criterion_10_portfolio_panels():
 
     spec_pre = eigenvalues_desc(to_correlation(sample_covariance(pre.data)), pre.data.n)
     spec_post = eigenvalues_desc(to_correlation(sample_covariance(post.data)), post.data.n)
-    k_pre = act_estimate(spec_pre, pre.data.n)
-    k_post = act_estimate(spec_post, post.data.n)
+    k_pre = act_estimate(spec_pre)
+    k_post = act_estimate(spec_post)
 
     scores = pc_scores(pre.data, 4)
     fmat = pre_factors.data.values
@@ -465,7 +465,7 @@ def test_criterion_11_detection_boundary():
             detected = 0
             for rep in range(reps):
                 X = sample_data(spec, n, SeededRng(MASTER_SEED + 11 + index, rep).generator())
-                detected += act_estimate(spectra(X)[1], n, default_r_max(p, n)) >= 1
+                detected += act_estimate(spectra(X)[1], r_max=default_r_max(p, n)) >= 1
             share[(p, n), c] = detected / reps
     elapsed = time.time() - t0
     small, large = sizes

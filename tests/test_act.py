@@ -16,7 +16,7 @@ from actfactors.act import (
     default_r_max,
     partial_stieltjes,
 )
-from actfactors.errors import ConfigError, DegenerateGap, PoleAtZ
+from actfactors.errors import ConfigError, DataError, DegenerateGap, PoleAtZ
 
 from helpers import spectrum, spike_map
 
@@ -259,6 +259,11 @@ class TestThresholdAndSelect:
         adj = AdjustedSpectrum(np.array([5.0, 1.2, 1.8]), threshold=1.5)
         assert act_select(adj) == 3
 
+    @pytest.mark.parametrize("values", [[1.0, -1.0], [np.inf], np.ones((2, 2))], ids=["negative", "inf", "2-d"])
+    def test_bad_adjusted_values_are_a_data_error(self, values):
+        with pytest.raises(DataError):
+            AdjustedSpectrum(np.array(values), threshold=1.5)
+
     def test_monotone_in_threshold(self):
         values = np.array([5.0, 2.0, 1.4, 1.1])
         counts = [
@@ -279,7 +284,7 @@ class TestThresholdAndSelect:
         d = rng.uniform(1e-3, 1e3, p)
         spec_plain = eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X))), n)
         spec_scaled = eigenvalues_desc(to_correlation(sample_covariance(DataMatrix(X * d))), n)
-        assert act_estimate(spec_plain, n) == act_estimate(spec_scaled, n)
+        assert act_estimate(spec_plain) == act_estimate(spec_scaled)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -293,14 +298,14 @@ class TestThresholdAndSelect:
         # lambda_j := lambda_{j+1} (1 + delta) for j below the count: ACT takes
         # the last crossing, so a collapse of adjusted_j must not move it
         lam = _simulated_correlation_spectrum(case, p, n, seed)
-        count = act_estimate(spectrum(lam, n=n), n)
+        count = act_estimate(spectrum(lam, n=n))
         assume(count >= 2)
         j = data.draw(st.integers(1, count - 1), label="j")
         delta = data.draw(st.just(0.0) | st.floats(1e-12, 1e-3), label="delta")
         tied = lam.copy()
         tied[j - 1] = lam[j] * (1.0 + delta)
         assume(j == 1 or tied[j - 1] <= lam[j - 2])
-        assert act_estimate(spectrum(tied, n=n), n) == count
+        assert act_estimate(spectrum(tied, n=n)) == count
 
 
 @functools.lru_cache(maxsize=None)

@@ -63,7 +63,7 @@ def test_counterexample_breaks_every_covariance_method():
         over["gr"] += gr_estimate(cov_spec, r_max) >= K + 1
         over["on"] += on_estimate(cov_spec, 0, r_max) >= K + 1
         over["ed"] += ed_estimate(cov_spec, 1.0, r_max) >= K + 1
-        act_true += act_estimate(eigenvalues_desc(to_correlation(cov), n), n, r_max) == K
+        act_true += act_estimate(eigenvalues_desc(to_correlation(cov), n), r_max=r_max) == K
     for name, count in over.items():
         assert count / R >= 0.9, (name, count)
     assert act_true / R >= 0.9
@@ -90,6 +90,6 @@ def test_null_size_below_and_past_n(p, seed):
     hits = 0
     for rep in range(R):
         X = DataMatrix(SeededRng(seed, rep).generator().standard_normal((n, p)))
-        hits += act_estimate(spectral.spectra(X)[1], n) >= 1
+        hits += act_estimate(spectral.spectra(X)[1]) >= 1
     print(f"null size at n={n}, p={p}: P(k >= 1) = {hits / R:.3f} over {R} panels")
     assert hits / R <= 0.15

@@ -106,14 +106,14 @@ class TestEstimateCommand:
 
     def test_one_act_evaluation_per_report(self, factor_panel_csv, monkeypatch):
         # ACT's count and the adjusted values it reports come from one
-        # evaluation of the correction formula on the panel's correlation
-        # spectrum (the option check evaluates it on a synthetic spectrum)
+        # evaluation of the correction formula, on the panel's correlation
+        # spectrum; the option check's all-zero probe evaluates nothing
         seen = []
         stieltjes = act_module._stieltjes
         monkeypatch.setattr(act_module, "_stieltjes", lambda lam, *args: seen.append(lam) or stieltjes(lam, *args))
         report = estimate_report(ingest_csv(factor_panel_csv), methods=("ACT", "ER"))
         top = report["eigenvalues"]["correlation_top"]
-        assert sum(lam[: len(top)].tolist() == top for lam in seen) == 1
+        assert [lam[: len(top)].tolist() for lam in seen] == [top]
         assert "k" in report["methods"]["ACT"] and "adjusted_eigenvalues" in report
 
     def test_basis_override(self, factor_panel_csv):
@@ -171,7 +171,7 @@ ED_THRESHOLD = 0.5
 
 #: direct calls of the public estimators: (cov spectrum, corr spectrum, n, p, r_max) -> count
 ORACLES = {
-    "ACT": lambda cov, corr, n, p, r: act_estimate(corr, n, r),
+    "ACT": lambda cov, corr, n, p, r: act_estimate(corr, r_max=r),
     "KAISER": lambda cov, corr, n, p, r: naive_kaiser_estimate(corr),
     "ER": lambda cov, corr, n, p, r: er_estimate(cov, r),
     "GR": lambda cov, corr, n, p, r: gr_estimate(cov, r),

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from actfactors import harness
 from actfactors.act import default_r_max
-from actfactors.errors import ConfigError
+from actfactors.errors import ActFactorsError, ConfigError
 from actfactors.harness import (
     METHODS,
     CellPlan,
@@ -31,7 +31,7 @@ from actfactors.harness import (
     _run_replications,
 )
 from actfactors.models import SeededRng, build_case, sample_data
-from actfactors.spectral import spectra
+from actfactors.spectral import Spectrum, spectra
 
 
 def small_config(**kw):
@@ -120,6 +120,28 @@ class TestConfigValidation:
             r = default_r_max(p, n) if options["r_max"] is None else options["r_max"]
             assert 1 <= r <= p - 1
             assert 0 <= options["on_r_min"] < r
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", list(METHODS))
+    @pytest.mark.parametrize("p, n", [(5, 8), (100, 300), (40, 12)])
+    def test_options_are_checked_before_any_value(self, method, p, n):
+        # check_method_options runs the methods on an all-zero spectrum: each
+        # must raise the ConfigError it raises on a strictly decreasing
+        # spectrum, or none, and nothing but an ActFactorsError
+        def config_error(spec, *options):
+            try:
+                METHODS[method][1](spec, *options)
+            except ConfigError as exc:
+                return str(exc)
+            except ActFactorsError:
+                pass
+            return None
+
+        zero, decreasing = Spectrum(np.zeros(p), n=n), Spectrum(np.linspace(2.0, 1.0, p), n=n)
+        for r_max in (-1, 0, 1, p - 2, p - 1, p, n - 1, n):
+            for ed_threshold, on_r_min in itertools.product((None, -1.0, 0.5, math.inf), (-1, 0, r_max - 1, r_max)):
+                options = (r_max, ed_threshold, on_r_min)
+                assert config_error(zero, *options) == config_error(decreasing, *options), options
 
     def test_ed_needs_threshold(self):
         with pytest.raises(ConfigError):
