@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateGap, PoleAtZ
+from .errors import ConfigError, DataError, DegenerateGap, PoleAtZ, check_range
 from .spectral import Spectrum
 
 __all__ = [
@@ -76,8 +76,7 @@ def act_threshold(p: int, n: int) -> float:
 
 
 def _check_point(j: int, lam: np.ndarray, z: float) -> None:
-    if not 1 <= j <= lam.size - 1:
-        raise ConfigError(f"index j={j} must satisfy 1 <= j <= p-1={lam.size - 1}")
+    check_range("j", j, 1, lam.size - 1, "p-1")
     if lam[j - 1] <= lam[j]:
         raise DegenerateGap(
             f"eigenvalues {j} and {j + 1} are tied ({lam[j - 1]:g}); the correction needs a strict gap"
@@ -105,8 +104,9 @@ def partial_stieltjes(j: int, spec: Spectrum, z: float) -> float:
     return float(_stieltjes(spec.eigenvalues, j, z))
 
 
-def companion_stieltjes(j: int, spec: Spectrum, n: int, z: float) -> float:
-    """Companion transform -(1-rho_j)/z + rho_j m_j(z), rho_j = (p-j)/(n-1)."""
+def companion_stieltjes(j: int, spec: Spectrum, z: float) -> float:
+    """Companion transform -(1-rho_j)/z + rho_j m_j(z), rho_j = (p-j)/(n-1) with n = spec.n."""
+    n = spec.n
     if n < 2:
         raise ConfigError(f"companion transform needs n >= 2, got {n}")
     if z == 0.0:
@@ -123,8 +123,7 @@ def adjust_eigenvalues(spec: Spectrum, n: int, r_max: int | None = None) -> Adju
     """
     p = spec.p
     r_max = default_r_max(p, n) if r_max is None else r_max
-    if not 1 <= r_max <= p - 2:
-        raise ConfigError(f"r_max={r_max} must satisfy 1 <= r_max <= p-2={p - 2}")
+    check_range("r_max", r_max, 1, p - 2, "p-2")
     threshold = act_threshold(p, n)
 
     work = spec.eigenvalues.copy()

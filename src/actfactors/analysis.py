@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_range
 from .spectral import DataMatrix, Spectrum, sample_covariance, standard_deviations, to_correlation
 
 __all__ = [
@@ -19,8 +19,7 @@ __all__ = [
 
 def variance_explained(spec: Spectrum, k: int) -> float:
     """Share of total variance carried by the top k eigenvalues."""
-    if not 0 <= k <= spec.p:
-        raise ConfigError(f"k={k} must lie in [0, p={spec.p}]")
+    check_range("k", k, 0, spec.p, "p")
     total = float(spec.eigenvalues.sum())
     if total <= 0.0:
         raise DataError("total variance is zero")
@@ -36,8 +35,7 @@ def pc_scores(X: DataMatrix, k: int) -> np.ndarray:
     Sign convention: the largest-magnitude loading of each component is
     positive."""
     n, p = X.n, X.p
-    if not 0 <= k <= min(n - 1, p):
-        raise ConfigError(f"k={k} must lie in [0, min(n-1, p)={min(n - 1, p)}]")
+    check_range("k", k, 0, min(n - 1, p), "min(n-1, p)")
     if k == 0:
         return np.empty((n, 0))
     cov = sample_covariance(X)

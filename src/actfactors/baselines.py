@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalDomain
+from .errors import ConfigError, NumericalDomain, check_range
 from .spectral import Spectrum
 
 __all__ = [
@@ -49,11 +49,6 @@ class BaiNgVariant:
         raise ConfigError(f"unknown criterion {name!r}; expected PC1-PC3 or IC1-IC3")
 
 
-def _check_r_max(r_max: int, upper: int, what: str) -> None:
-    if not 1 <= r_max <= upper:
-        raise ConfigError(f"{what} needs 1 <= r_max <= {upper}, got {r_max}")
-
-
 def check_gap_threshold(threshold: float | None) -> None:
     """The gap threshold's rule: None (no threshold given) or finite and positive."""
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
@@ -74,7 +69,7 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def er_estimate(spec: Spectrum, r_max: int) -> int:
     """argmax_{1<=i<=r_max} lambda_i / lambda_{i+1}; zero denominators count
     as +inf, so the first of them wins."""
-    _check_r_max(r_max, spec.p - 1, "eigenvalue ratio")
+    check_range("r_max", r_max, 1, spec.p - 1, "p-1")
     lam = spec.eigenvalues
     num = lam[:r_max]
     den = lam[1 : r_max + 1]
@@ -84,7 +79,7 @@ def er_estimate(spec: Spectrum, r_max: int) -> int:
 def gr_estimate(spec: Spectrum, r_max: int) -> int:
     """argmax_{1<=i<=r_max} log(V_{i-1}/V_i) / log(V_i/V_{i+1}) with
     V_i = sum_{j>i} lambda_j."""
-    _check_r_max(r_max, spec.p - 2, "growth ratio")
+    check_range("r_max", r_max, 1, spec.p - 2, "p-2")
     # V[i] = sum of eigenvalues past index i, i = 0..r_max+1
     v = _tail_sums(spec.eigenvalues)[: r_max + 2]
     if v[r_max + 1] <= 0.0:
@@ -102,7 +97,7 @@ def ed_estimate(spec: Spectrum, threshold: float, r_max: int) -> int:
     if threshold is None:
         raise ConfigError("ED needs an explicit gap threshold (ed_threshold, --ed-threshold)")
     check_gap_threshold(threshold)
-    _check_r_max(r_max, spec.p - 1, "eigenvalue difference")
+    check_range("r_max", r_max, 1, spec.p - 1, "p-1")
     lam = spec.eigenvalues
     gaps = lam[:r_max] - lam[1 : r_max + 1]
     hits = np.flatnonzero(gaps >= threshold)
@@ -112,10 +107,8 @@ def ed_estimate(spec: Spectrum, threshold: float, r_max: int) -> int:
 def on_estimate(spec: Spectrum, r_min: int, r_max: int) -> int:
     """argmax_{r_min < i <= r_max} (lambda_i - lambda_{i+1}) /
     (lambda_{i+1} - lambda_{i+2}); zero denominators count as +inf."""
-    if not 0 <= r_min < r_max <= spec.p - 2:
-        raise ConfigError(
-            f"need 0 <= r_min < r_max <= p-2, got r_min={r_min}, r_max={r_max}, p={spec.p}"
-        )
+    check_range("r_max", r_max, 1, spec.p - 2, "p-2")
+    check_range("r_min", r_min, 0, r_max - 1, "r_max-1")
     lam = spec.eigenvalues
     i = np.arange(r_min + 1, r_max + 1)
     num = lam[i - 1] - lam[i]
@@ -140,8 +133,7 @@ def bai_ng_estimate(
     sigma2 = V(r_max), and g is the g1/g2/g3 penalty."""
     if cov_spec.p != p:
         raise ConfigError(f"spectrum has p={cov_spec.p}, expected {p}")
-    if not 1 <= r_max < min(n, p):
-        raise ConfigError(f"need 1 <= r_max < min(n, p)={min(n, p)}, got {r_max}")
+    check_range("r_max", r_max, 1, min(n, p) - 1, "min(n, p)-1")
     v = _tail_sums(cov_spec.eigenvalues[: min(n, p)])[: r_max + 1] / p
     k = np.arange(r_max + 1)
     g = _penalty(variant.penalty, n, p)

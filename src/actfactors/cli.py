@@ -14,7 +14,7 @@ import sys
 
 from .act import act_estimate, act_threshold
 from .analysis import ols_r2, pc_scores, projection_distance, variance_explained
-from .errors import ActFactorsError, ConfigError, DataError
+from .errors import ActFactorsError, ConfigError, DataError, check_range
 from .harness import (
     METHODS,
     ExperimentConfig,
@@ -93,8 +93,8 @@ def analyze_report(ds: PanelDataset, factors: PanelDataset, k: int | None = None
     distance between the observed-factor span and the PC-score span."""
     X = ds.data
     n, p = X.n, X.p
-    if k is not None and not 1 <= k <= min(n - 1, p):
-        raise ConfigError(f"k={k} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
+    if k is not None:
+        check_range("k", k, 1, min(n - 1, p), "min(n-1, p)")
     if factors.data.n != n:
         raise DataError(
             f"panel has {n} observations but factor series have {factors.data.n}"

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the one range check
+that every bounded option (r_max, r_min, j, k) goes through.
 
 Two branches matter for the CLI: ConfigError maps to exit code 2,
 DataError (and subclasses) to exit code 3.
@@ -44,3 +45,8 @@ class PoleAtZ(ActFactorsError):
 class NumericalDomain(ActFactorsError):
     """A criterion hit an invalid numerical domain (log of <= 0, 0 denominator)."""
 
+
+def check_range(name: str, value: int, low: int, high: int, bound: str) -> None:
+    """Raise ConfigError unless low <= value <= high; bound names high in the message."""
+    if not low <= value <= high:
+        raise ConfigError(f"{name} must satisfy {low} <= {name} <= {bound}={high}, got {value}")

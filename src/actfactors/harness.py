@@ -23,7 +23,7 @@ from .act import act_select, adjust_eigenvalues, default_r_max
 from .baselines import (
     BaiNgVariant, bai_ng_estimate, check_gap_threshold, ed_estimate, er_estimate, gr_estimate, on_estimate,
 )
-from .errors import ActFactorsError, ConfigError
+from .errors import ActFactorsError, ConfigError, check_range
 from .models import SeededRng, build_case, sample_data, population_correlation, table1_scenario
 from .spectral import Spectrum, kaiser_population_count, naive_kaiser_estimate, spectra
 
@@ -98,10 +98,8 @@ def check_method_options(
     count_factors(methods, {"cov": probe, "corr": probe}, r_max, ed_threshold, on_r_min)
     # every option a report records meets its rule, whether or not a method
     # reads it; p - 1 is the widest r_max any estimator admits
-    if not 1 <= r_max <= p - 1:
-        raise ConfigError(f"r_max must satisfy 1 <= r_max <= p-1={p - 1}, got {r_max}")
-    if not 0 <= on_r_min < r_max:
-        raise ConfigError(f"on_r_min must satisfy 0 <= on_r_min < r_max={r_max}, got {on_r_min}")
+    check_range("r_max", r_max, 1, p - 1, "p-1")
+    check_range("on_r_min", on_r_min, 0, r_max - 1, "r_max-1")
     check_gap_threshold(ed_threshold)
     return r_max
 
@@ -128,7 +126,10 @@ def count_factors(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid of simulation cells plus method and execution settings."""
+    """Grid of simulation cells plus method and execution settings. Building
+    one checks every cell in one walk over the grid and keeps the cells in
+    ``plans``, the CellPlans run_experiment runs: an attribute, not a field,
+    so asdict and the reports leave it out."""
 
     cases: tuple[int, ...] = (1,)
     p_values: tuple[int, ...] = (100,)
@@ -154,18 +155,30 @@ class ExperimentConfig:
             raise ConfigError("need at least one replication")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if not self.cases or not self.p_values or not self.n_values or not self.families:
-            raise ConfigError("cases, p_values, n_values and families must be non-empty")
-        for p, n in itertools.product(self.p_values, self.n_values):
+        for name in ("cases", "p_values", "n_values", "families"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must be non-empty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
+        plans = []
+        grid = itertools.product(self.cases, self.families, self.p_values, self.n_values)
+        for index, (case_id, family, p, n) in enumerate(grid):
             if n < 3:
                 raise ConfigError(f"need n >= 3, got {n}")
             if p < self.k_true + 2:
                 raise ConfigError(f"need p >= K+2, got p={p}, K={self.k_true}")
-        # the plans run_experiment runs check the options and the master seed
-        _plans(self)
-        # build_case refuses an unknown case id or family, and K < 1
-        for case_id, family, p in itertools.product(self.cases, self.families, self.p_values):
+            r_max = check_method_options(self.methods, p, n, self.r_max, self.ed_threshold, self.on_r_min)
+            cell_seed = SeededRng(self.master_seed, index).derived_seed()
+            # build_case refuses an unknown case id or family, and K < 1
             build_case(case_id, p, self.k_true, np.random.default_rng(0), family)
+            plans.append(CellPlan(
+                case_id=case_id, family=family, p=p, n=n, k_true=self.k_true, replications=self.replications,
+                r_max=r_max, ed_threshold=self.ed_threshold, on_r_min=self.on_r_min,
+                fresh_loadings=self.fresh_loadings, cell_seed=cell_seed, methods=self.methods,
+            ))
+        object.__setattr__(self, "plans", tuple(plans))
 
 
 @dataclass(frozen=True)
@@ -264,7 +277,7 @@ def _one_blas_thread_children():
         os.environ.update({name: value for name, value in saved.items() if value is not None})
 
 
-def _run_cells(plans: list[CellPlan], workers: int) -> list[CellResult]:
+def _run_cells(plans: tuple[CellPlan, ...], workers: int) -> list[CellResult]:
     """Run each cell in at most ``workers`` chunks of at least two replications, in this process
     (one worker or one chunk) or in one pool of spawned processes for all cells, and tally each
     cell from its chunks in replication order. Spawned children import the caller's ``__main__``,
@@ -297,28 +310,7 @@ def _run_cells(plans: list[CellPlan], workers: int) -> list[CellResult]:
 
 def run_cell(plan: CellPlan, workers: int = 1) -> CellResult:
     """Run all replications of one cell, optionally across processes."""
-    return _run_cells([plan], workers)[0]
-
-
-def _plans(config: ExperimentConfig) -> list[CellPlan]:
-    grid = itertools.product(config.cases, config.families, config.p_values, config.n_values)
-    return [
-        CellPlan(
-            case_id=case_id,
-            family=family,
-            p=p,
-            n=n,
-            k_true=config.k_true,
-            replications=config.replications,
-            r_max=check_method_options(config.methods, p, n, config.r_max, config.ed_threshold, config.on_r_min),
-            ed_threshold=config.ed_threshold,
-            on_r_min=config.on_r_min,
-            fresh_loadings=config.fresh_loadings,
-            cell_seed=SeededRng(config.master_seed, index).derived_seed(),
-            methods=config.methods,
-        )
-        for index, (case_id, family, p, n) in enumerate(grid)
-    ]
+    return _run_cells((plan,), workers)[0]
 
 
 @dataclass
@@ -356,7 +348,7 @@ def aggregate(results: list[CellResult], config: ExperimentConfig) -> Replicatio
 
 
 def run_experiment(config: ExperimentConfig) -> ReplicationReport:
-    return aggregate(_run_cells(_plans(config), config.workers), config)
+    return aggregate(_run_cells(config.plans, config.workers), config)
 
 
 #: text-table rows: (label, per-method report field, format of a present value)

@@ -356,18 +356,18 @@ class TestCriterion9Properties:
     def test_hand_oracles(self):
         checks = []
 
-        spec4 = spectrum([4.0, 1.0, 0.5, 0.5])
+        spec4 = spectrum([4.0, 1.0, 0.5, 0.5], n=5)
         oracle_partial = (
             1.0 / (1.0 - 4.0) + 2.0 / (0.5 - 4.0) + 1.0 / (3.25 - 4.0)
         ) / 3.0
         checks.append(abs(partial_stieltjes(1, spec4, 4.0) - oracle_partial) <= 1e-9)
 
-        spec2 = spectrum([2.0, 0.0])
+        spec2 = spectrum([2.0, 0.0], n=3)
         checks.append(abs(partial_stieltjes(1, spec2, 2.0) - (-2.5)) <= 1e-9)
 
         oracle_comp = -(1.0 - 0.75) / 4.0 + 0.75 * oracle_partial
-        checks.append(abs(companion_stieltjes(1, spec4, 5, 4.0) - oracle_comp) <= 1e-9)
-        checks.append(abs(companion_stieltjes(1, spec2, 3, 2.0) - (-1.5)) <= 1e-9)
+        checks.append(abs(companion_stieltjes(1, spec4, 4.0) - oracle_comp) <= 1e-9)
+        checks.append(abs(companion_stieltjes(1, spec2, 2.0) - (-1.5)) <= 1e-9)
 
         adj = adjust_eigenvalues(spec4, 5, r_max=1)
         checks.append(abs(adj.adjusted[0] - (-1.0 / oracle_comp)) <= 1e-9)

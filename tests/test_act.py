@@ -96,31 +96,31 @@ class TestPartialStieltjes:
 
 class TestCompanionStieltjes:
     def test_chained_example(self):
-        spec = spectrum([4.0, 1.0, 0.5, 0.5])
+        spec = spectrum([4.0, 1.0, 0.5, 0.5], n=5)
         m = partial_stieltjes(1, spec, 4.0)
         oracle = -(1.0 - 0.75) / 4.0 + 0.75 * m
-        got = companion_stieltjes(1, spec, 5, 4.0)
+        got = companion_stieltjes(1, spec, 4.0)
         assert abs(got - oracle) <= 1e-9
         assert got == pytest.approx(-0.622024, abs=1e-6)
 
     def test_two_point_chain(self):
-        spec = spectrum([2.0, 0.0])
-        got = companion_stieltjes(1, spec, 3, 2.0)
+        spec = spectrum([2.0, 0.0], n=3)
+        got = companion_stieltjes(1, spec, 2.0)
         assert abs(got - (-(1.0 - 0.5) / 2.0 + 0.5 * (-2.5))) <= 1e-12
         assert got == pytest.approx(-1.5, abs=1e-12)
 
     def test_classical_limit(self):
         # rho -> 0: the companion transform approaches -1/z
-        spec = spectrum([4.0, 1.0, 0.5, 0.4])
-        got = companion_stieltjes(1, spec, 10**9, 4.0)
+        spec = spectrum([4.0, 1.0, 0.5, 0.4], n=10**9)
+        got = companion_stieltjes(1, spec, 4.0)
         assert abs(got - (-1.0 / 4.0)) <= 1e-6
 
 
 class TestAdjustEigenvalues:
     def test_single_adjustment(self):
-        spec = spectrum([4.0, 1.0, 0.5, 0.5])
+        spec = spectrum([4.0, 1.0, 0.5, 0.5], n=5)
         adj = adjust_eigenvalues(spec, n=5, r_max=1)
-        oracle = -1.0 / companion_stieltjes(1, spec, 5, 4.0)
+        oracle = -1.0 / companion_stieltjes(1, spec, 4.0)
         assert abs(adj.adjusted[0] - oracle) <= 1e-9
         assert adj.adjusted[0] == pytest.approx(1.607655, abs=1e-6)
         assert adj.threshold == act_threshold(4, 5)

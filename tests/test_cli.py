@@ -17,7 +17,7 @@ from actfactors.analysis import ols_r2, pc_scores
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
-from actfactors.harness import METHODS, ExperimentConfig, ReplicationReport, _plans, run_experiment, run_table1
+from actfactors.harness import METHODS, ExperimentConfig, ReplicationReport, run_experiment, run_table1
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, clean_outliers, ingest_csv
 from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
@@ -244,7 +244,7 @@ class TestFrontEndsAgree:
     def test_default_r_max_is_the_plans(self, n, p):
         ds = PanelDataset(tuple(f"s{i}" for i in range(p)), DataMatrix(SeededRng(63).generator().standard_normal((n, p))))
         report = estimate_report(ds, methods=("ACT",), r_max=None)
-        (plan,) = _plans(ExperimentConfig(p_values=(p,), n_values=(n,), k_true=3, methods=("ACT",)))
+        (plan,) = ExperimentConfig(p_values=(p,), n_values=(n,), k_true=3, methods=("ACT",)).plans
         assert report["config"]["r_max"] == plan.r_max == default_r_max(p, n)
 
     def test_same_failure_text(self):
@@ -423,6 +423,10 @@ class TestExitCodes:
             ["--methods", "KAISER", "--r-max", "-3"],
             ["--seed", "-1"],
             *OPTIONS_NO_METHOD_CHECKS,
+            # a grid value listed twice
+            ["--case", "1", "1"],
+            ["--p", "30", "30"],
+            ["--n", "60", "60"],
         ],
     )
     def test_simulate_option_out_of_range_is_2(self, args, capsys):
@@ -488,7 +492,7 @@ class TestExitCodes:
         assert main(["estimate", path, "--r-max", "999"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: method ACT at p=30, n=200: r_max=999 must satisfy ")
+        assert captured.err == "error: method ACT at p=30, n=200: r_max must satisfy 1 <= r_max <= p-2=28, got 999\n"
 
     def test_missing_file_is_3(self):
         assert main(["estimate", "/nonexistent/panel.csv"]) == 3
@@ -799,9 +803,9 @@ class TestAnalyzeCommand:
         "args, code, message",
         [
             # --k must lie in [1, min(n-1, p)] = [1, 6]; checked before any eigensolve
-            (["--k", "0"], 2, "k=0 must lie in [1, min(n-1, p)=6]"),
-            (["--k", "-1"], 2, "k=-1 must lie in [1, min(n-1, p)=6]"),
-            (["--k", "7"], 2, "k=7 must lie in [1, min(n-1, p)=6]"),
+            (["--k", "0"], 2, "k must satisfy 1 <= k <= min(n-1, p)=6, got 0"),
+            (["--k", "-1"], 2, "k must satisfy 1 <= k <= min(n-1, p)=6, got -1"),
+            (["--k", "7"], 2, "k must satisfy 1 <= k <= min(n-1, p)=6, got 7"),
             # pure noise: ACT selects no factor
             ([], 3, "selected factor count k=0 is not positive"),
         ],

@@ -27,7 +27,6 @@ from actfactors.harness import (
     run_experiment,
     run_table1,
     _one_blas_thread_children,
-    _plans,
     _run_replications,
 )
 from actfactors.models import SeededRng, build_case, sample_data
@@ -82,19 +81,58 @@ class TestConfigValidation:
         assert small_config(methods=(" act", "ER")).methods == ("ACT", "ER")
 
     @pytest.mark.parametrize(
-        "kw",
+        "kw, message",
         [
-            dict(methods=("ACT",), r_max=29),
-            dict(methods=("GR",), r_max=29),
-            dict(methods=("ER",), r_max=30),
-            dict(methods=("PC3",), r_max=20, n_values=(20,)),
-            dict(methods=("ON2",), on_r_min=15),
-            dict(methods=("ED",), ed_threshold=0.0),
+            (dict(methods=("ACT",), r_max=29),
+             "method ACT at p=30, n=60: r_max must satisfy 1 <= r_max <= p-2=28, got 29"),
+            (dict(methods=("GR",), r_max=29),
+             "method GR at p=30, n=60: r_max must satisfy 1 <= r_max <= p-2=28, got 29"),
+            (dict(methods=("ER",), r_max=30),
+             "method ER at p=30, n=60: r_max must satisfy 1 <= r_max <= p-1=29, got 30"),
+            (dict(methods=("PC3",), r_max=20, n_values=(20,)),
+             "method PC3 at p=30, n=20: r_max must satisfy 1 <= r_max <= min(n, p)-1=19, got 20"),
+            (dict(methods=("ON2",), on_r_min=15),
+             "method ON2 at p=30, n=60: r_min must satisfy 0 <= r_min <= r_max-1=14, got 15"),
+            (dict(methods=("ED",), ed_threshold=0.0),
+             "method ED at p=30, n=60: gap threshold must be finite and positive, got 0.0"),
+            # the run-wide rules, which apply whatever the methods
+            (dict(methods=("KAISER",), r_max=30), "r_max must satisfy 1 <= r_max <= p-1=29, got 30"),
+            (dict(methods=("KAISER",), on_r_min=15),
+             "on_r_min must satisfy 0 <= on_r_min <= r_max-1=14, got 15"),
+        ],
+        ids=[f"kw{row}" for row in range(8)],  # the messages are too long to name a row
+    )
+    def test_option_out_of_method_range(self, kw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_config(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(cases=(1, 2, 1)), "cases lists 1 more than once"),
+            (dict(p_values=(30, 30)), "p_values lists 30 more than once"),
+            (dict(n_values=(60, 50, 60)), "n_values lists 60 more than once"),
+            (dict(families=("gaussian", "gaussian")), "families lists 'gaussian' more than once"),
+            (dict(p_values=()), "p_values must be non-empty"),
         ],
     )
-    def test_option_out_of_method_range(self, kw):
-        with pytest.raises(ConfigError):
+    def test_grid_values_are_listed_once(self, kw, message):
+        # a repeated value would run a cell twice, and the text table could
+        # not tell its blocks apart
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             small_config(**kw)
+
+    def test_options_are_checked_once_per_cell(self, monkeypatch):
+        calls, original = [], harness.check_method_options
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return original(*args)
+
+        monkeypatch.setattr(harness, "check_method_options", counted)
+        config = small_config(p_values=(30, 40), n_values=(60, 50), replications=2)
+        run_experiment(config)
+        assert calls == [(30, 60), (30, 50), (40, 60), (40, 50)]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -102,8 +140,8 @@ class TestConfigValidation:
         r_max=st.none() | st.integers(-3, 90),
         on_r_min=st.integers(-3, 90),
         ed_threshold=st.none() | st.floats(allow_nan=True, allow_infinity=True),
-        p_values=st.lists(st.integers(5, 80), min_size=1, max_size=2),
-        n_values=st.lists(st.integers(3, 80), min_size=1, max_size=2),
+        p_values=st.lists(st.integers(5, 80), min_size=1, max_size=2, unique=True),
+        n_values=st.lists(st.integers(3, 80), min_size=1, max_size=2, unique=True),
     )
     def test_every_recorded_option_meets_its_rule(self, methods, r_max, on_r_min, ed_threshold, p_values, n_values):
         try:
@@ -204,7 +242,7 @@ class TestRunCell:
         assert MethodTally.of([], 3) == MethodTally()
 
     def test_chunks_join_in_replication_order(self):
-        plan = _plans(small_config(cases=(2,), replications=7))[0]
+        plan = small_config(cases=(2,), replications=7).plans[0]
         whole = _run_replications(plan, 0, 7)
         head, tail = _run_replications(plan, 0, 3), _run_replications(plan, 3, 7)
         assert whole == {m: head[m] + tail[m] for m in plan.methods}
@@ -238,14 +276,14 @@ class TestPlans:
                     for n in config.n_values:
                         seed = np.random.SeedSequence([11, len(expected)]).generate_state(1, dtype=np.uint64)[0]
                         expected.append((case_id, family, p, n, int(seed)))
-        assert [(c.case_id, c.family, c.p, c.n, c.cell_seed) for c in _plans(config)] == expected
+        assert [(c.case_id, c.family, c.p, c.n, c.cell_seed) for c in config.plans] == expected
 
     @pytest.mark.parametrize("name", ["simulations.json", "simulations_rmax8.json"])
     def test_published_plans_reproduce(self, name):
         # every committed cell's plan, its cell seed included, from the report's config
         doc, config = published(name)
         assert len(doc["cells"]) == 32
-        assert _plans(config) == [plan_of(cell) for cell in doc["cells"]]
+        assert list(config.plans) == [plan_of(cell) for cell in doc["cells"]]
 
     def test_negative_master_seed_is_refused_before_any_replication(self, monkeypatch):
         def never(*args):
@@ -302,7 +340,7 @@ class TestDeterminism:
         # the cell draws every replication into one buffer; each
         # replication must still count its own panel
         config = small_config(cases=(2,), p_values=(p,), families=(family,), methods=("ACT", "ER", "KAISER", "PC3"))
-        plan = _plans(config)[0]
+        plan = config.plans[0]
         fresh = []
         for r in range(plan.replications):
             g = SeededRng(plan.cell_seed, r).generator()
@@ -336,7 +374,7 @@ class TestDeterminism:
 
 class TestAggregate:
     def test_rounding_examples(self):
-        plan = _plans(small_config(replications=200, methods=("ACT",)))[0]
+        plan = small_config(replications=200, methods=("ACT",)).plans[0]
         tally = MethodTally.of([3] * 198 + [2] * 2, 3)
         from actfactors.harness import CellResult
 
@@ -347,7 +385,7 @@ class TestAggregate:
         assert entry["under_pct"] == pytest.approx(1.0, abs=1e-12)
 
     def test_ave_rounding(self):
-        plan = _plans(small_config(replications=3, methods=("ACT",)))[0]
+        plan = small_config(replications=3, methods=("ACT",)).plans[0]
         tally = MethodTally.of([5, 5, 4], 5)
         from actfactors.harness import CellResult
 
@@ -371,14 +409,13 @@ class TestReportShape:
         config = small_config(
             cases=(1, 2), replications=2, methods=("ED", "ER", "ACT"), ed_threshold=0.5, fresh_loadings=False
         )
-        plans = _plans(config)
         cells = json.loads(run_experiment(config).to_json())["cells"]
         expected = [
             "case", "family", "p", "n", "k_true", "replications", "r_max", "ed_threshold", "on_r_min",
             "fresh_loadings", "cell_seed", "methods",
         ]
         assert expected == ["case", *[f.name for f in fields(CellPlan)][1:]]
-        for plan, cell in zip(plans, cells, strict=True):
+        for plan, cell in zip(config.plans, cells, strict=True):
             assert list(cell) == expected
             assert list(cell["methods"]) == list(config.methods)
             assert plan_of(cell) == plan
