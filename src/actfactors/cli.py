@@ -217,7 +217,7 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_simulate(args) -> None:
     families = ("gaussian", "uniform") if args.family == "both" else (args.family,)
-    report = run_experiment(_forward(ExperimentConfig, args, families=families))
+    report = _forward(run_experiment, args, _forward(ExperimentConfig, args, families=families))
     text = render_text_table(report) if args.text_table else None
     _emit(report.to_json(), args.out, stdout_text=text)
 

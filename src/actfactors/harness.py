@@ -126,7 +126,7 @@ def count_factors(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid of simulation cells plus method and execution settings. Building
+    """Grid of simulation cells plus the settings that decide its numbers. Building
     one checks every cell in one walk over the grid and keeps the cells in
     ``plans``, the CellPlans run_experiment runs: an attribute, not a field,
     so asdict and the reports leave it out."""
@@ -143,7 +143,6 @@ class ExperimentConfig:
     ed_threshold: float | None = None
     on_r_min: int = 0
     fresh_loadings: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "cases", tuple(int(c) for c in self.cases))
@@ -153,8 +152,6 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", canonical_methods(self.methods))
         if self.replications < 1:
             raise ConfigError("need at least one replication")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         for name in ("cases", "p_values", "n_values", "families"):
             values = getattr(self, name)
             if not values:
@@ -278,17 +275,20 @@ def _one_blas_thread_children():
 
 
 def _run_cells(plans: tuple[CellPlan, ...], workers: int) -> list[CellResult]:
-    """Run each cell in at most ``workers`` chunks of at least two replications, in this process
-    (one worker or one chunk) or in one pool of spawned processes for all cells, and tally each
-    cell from its chunks in replication order. Spawned children import the caller's ``__main__``,
-    so a script that runs with workers > 1 needs an ``if __name__ == "__main__":`` guard."""
+    """Run each cell in at most ``workers`` chunks of at least two replications, in one pool of
+    min(workers, chunks, cores) spawned processes for all cells, or in this process when that is 1,
+    and tally each cell from its chunks in replication order. Spawned children import the caller's
+    ``__main__``, so a script that runs with workers > 1 needs an ``if __name__ == "__main__":`` guard."""
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     tasks = []
     for cell, plan in enumerate(plans):
         n_chunks = max(1, min(workers, plan.replications // 2))
         bounds = np.linspace(0, plan.replications, n_chunks + 1, dtype=int)
         tasks += [(cell, plan, int(start), int(stop)) for start, stop in itertools.pairwise(bounds)]
     cells, *args = zip(*tasks)
-    if workers == 1 or len(tasks) == 1:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes == 1:
         parts = list(map(_run_replications, *args))
     else:
         import multiprocessing
@@ -296,7 +296,7 @@ def _run_cells(plans: tuple[CellPlan, ...], workers: int) -> list[CellResult]:
 
         spawn = multiprocessing.get_context("spawn")
         with _one_blas_thread_children():
-            with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=spawn) as pool:
+            with ProcessPoolExecutor(processes, mp_context=spawn) as pool:
                 parts = list(pool.map(_run_replications, *args))
     joined = [{m: [] for m in plan.methods} for plan in plans]
     for cell, part in zip(cells, parts):
@@ -347,8 +347,8 @@ def aggregate(results: list[CellResult], config: ExperimentConfig) -> Replicatio
     return ReplicationReport(config=cfg, cells=cells)
 
 
-def run_experiment(config: ExperimentConfig) -> ReplicationReport:
-    return aggregate(_run_cells(config.plans, config.workers), config)
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReplicationReport:
+    return aggregate(_run_cells(config.plans, workers), config)
 
 
 #: text-table rows: (label, per-method report field, format of a present value)

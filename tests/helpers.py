@@ -1,15 +1,25 @@
-"""Helpers shared by the test modules: a Spectrum from listed values and
-the reference spike map that criterion 7b holds the sample eigenvalues to."""
+"""Helpers shared by the test modules: a Spectrum from listed values, the
+type and message of a refusal, and the reference spike map that criterion 7b
+holds the sample eigenvalues to."""
 
 import math
 
 import numpy as np
+import pytest
 
+from actfactors.errors import ActFactorsError
 from actfactors.spectral import Spectrum
 
 
 def spectrum(values, n=0):
     return Spectrum(values, n=n)
+
+
+def refusal(call):
+    """The exact type and the message of the ActFactorsError that call() raises."""
+    with pytest.raises(ActFactorsError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
 
 
 def spike_map(lam, bulk, rho):

@@ -18,7 +18,7 @@ from actfactors.act import (
 )
 from actfactors.errors import ConfigError, DataError, DegenerateGap, PoleAtZ
 
-from helpers import spectrum, spike_map
+from helpers import refusal, spectrum, spike_map
 
 
 def _oracle_adjust(lam, n, r_max):
@@ -369,3 +369,23 @@ class TestSpectralLaw:
     def test_separation_guard(self):
         with pytest.raises(AssertionError, match="below the separation bound"):
             spike_map(1.9, [1.0], 1.0)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: act_threshold(10, 1), ConfigError, "threshold needs n >= 2, got 1"),
+            (
+                lambda: companion_stieltjes(1, spectrum([4.0, 2.0, 1.0], n=1), 3.0), ConfigError,
+                "companion transform needs n >= 2, got 1",
+            ),
+            (
+                lambda: companion_stieltjes(1, spectrum([4.0, 2.0, 1.0], n=10), 0.0), PoleAtZ,
+                "z=0 is a pole of the companion transform",
+            ),
+        ],
+        ids=["threshold-n", "companion-n", "companion-z-zero"],
+    )
+    def test_public_refusals(self, call, error, message):
+        assert refusal(call) == (error, message)

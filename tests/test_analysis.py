@@ -8,7 +8,7 @@ from actfactors.analysis import ols_r2, pc_scores, projection_distance, variance
 from actfactors.errors import ConfigError, DataError, ZeroVarianceSeries
 from actfactors.spectral import DataMatrix, sample_covariance, to_correlation
 
-from helpers import spectrum
+from helpers import refusal, spectrum
 
 
 class TestVarianceExplained:
@@ -198,3 +198,28 @@ class TestProjectionDistance:
         A = np.ones((10, 2))
         with pytest.raises(DataError):
             projection_distance(A, np.random.default_rng(11).standard_normal((10, 2)))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: ols_r2(np.zeros(4), np.zeros(4)), DataError, "factor matrix must be 2-dimensional"),
+            (lambda: ols_r2(np.zeros(3), np.zeros((4, 1))), DataError, "series has 3 rows, factors have 4"),
+            (
+                lambda: ols_r2(np.arange(3.0), np.ones((3, 3))), ConfigError,
+                "need fewer regressors than observations, got k=3, n=3",
+            ),
+            (
+                lambda: projection_distance(np.eye(3)[:, :1], np.eye(4)[:, :1]), DataError,
+                "matrices must have the same number of rows",
+            ),
+            (
+                lambda: projection_distance(np.zeros((3, 0)), np.eye(3)[:, :1]), DataError,
+                "first matrix must be a non-empty 2-d matrix",
+            ),
+        ],
+        ids=["ols-1-d-factors", "ols-rows", "ols-too-many-regressors", "projection-rows", "projection-empty"],
+    )
+    def test_public_refusals(self, call, error, message):
+        assert refusal(call) == (error, message)

@@ -16,7 +16,7 @@ from actfactors.baselines import (
 from actfactors.errors import ConfigError, NumericalDomain
 from actfactors.spectral import Spectrum
 
-from helpers import spectrum
+from helpers import refusal, spectrum
 
 
 class TestEigenvalueRatio:
@@ -206,3 +206,20 @@ class TestScaleInvariance:
             bai_ng_estimate(spec, 40, 15, BaiNgVariant("IC", "g2"), r_max),
         ):
             assert 0 <= value <= r_max
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: BaiNgVariant("XX", "g1"), ConfigError, "family must be 'PC' or 'IC', got 'XX'"),
+            (lambda: BaiNgVariant("PC", "g4"), ConfigError, "penalty must be 'g1', 'g2' or 'g3', got 'g4'"),
+            (
+                lambda: bai_ng_estimate(spectrum([4.0, 2.0, 1.0, 0.5], n=10), 10, 5, BaiNgVariant("PC", "g1"), 2),
+                ConfigError, "spectrum has p=4, expected 5",
+            ),
+        ],
+        ids=["bai-ng-family", "bai-ng-penalty", "bai-ng-p"],
+    )
+    def test_public_refusals(self, call, error, message):
+        assert refusal(call) == (error, message)

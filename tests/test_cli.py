@@ -17,7 +17,9 @@ from actfactors.analysis import ols_r2, pc_scores
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
-from actfactors.harness import METHODS, ExperimentConfig, ReplicationReport, run_experiment, run_table1
+from actfactors.harness import (
+    METHODS, ExperimentConfig, ReplicationReport, render_text_table, run_experiment, run_table1,
+)
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, clean_outliers, ingest_csv
 from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
@@ -462,21 +464,25 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "text",
-        ["a\n1\n2\n4\n8\n", "a,b\n1,2\n3,5\n", "a,b\n1,NA\nNA,2\n3,4\n"],
-        ids=["one-series", "two-rows", "all-missing"],
+        "text, option, message",
+        [
+            ("a\n1\n2\n4\n8\n", "--drop-missing", "spectra need at least 3 series, got 1"),
+            ("a,b\n1,2\n3,5\n", "--drop-missing", "{bad}: panel needs at least 3 rows, got 2"),
+            ("a,b\n1,NA\nNA,2\n3,4\n", "--drop-missing", "{bad}: panel needs at least 1 column, got 0"),
+            ("a,b,c\n1,2,3\n4,5,7\n2,9,1\n", "--clean", "outlier cleaning needs at least 4 observations, got 3"),
+        ],
+        ids=["one-series", "two-rows", "all-missing", "clean-three-rows"],
     )
     @pytest.mark.parametrize("command", ["estimate", "analyze"])
-    def test_panel_shape_errors_are_3(self, tmp_path, capsys, command, text):
+    def test_panel_shape_errors_are_3(self, tmp_path, capsys, command, text, option, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         factors = tmp_path / "f.csv"
         factors.write_text("f\n" + "".join(f"{v}\n" for v in (1.0, 2.0, 0.5, 3.0)))
-        args = [str(bad), "--drop-missing"]
+        args = [str(bad), option]
         args = ["estimate", *args] if command == "estimate" else ["analyze", *args, "--factors", str(factors)]
         assert main(args) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(bad=bad)}\n")
 
     def test_shape_error_names_the_file(self, tmp_path, capsys):
         # with two input files, the error says which one is too short
@@ -658,17 +664,25 @@ class TestOptionForwarding:
                 ["--k", "3", "--reps", "4", "--seed", "7", "--family", "both", "--fixed-loadings", "--workers", "2",
                  "--methods", "ACT", "ED", "--r-max", "5", "--ed-threshold", "0.5", "--on-r-min", "1"],
                 dict(k_true=3, replications=4, master_seed=7, families=("gaussian", "uniform"), fresh_loadings=False,
-                     workers=2, methods=("ACT", "ED"), r_max=5, ed_threshold=0.5, on_r_min=1),
+                     methods=("ACT", "ED"), r_max=5, ed_threshold=0.5, on_r_min=1),
             ),
         ],
         ids=["unset", "set"],
     )
     def test_simulate(self, monkeypatch, capsys, args, kwargs):
+        # --workers goes to run_experiment, not to the config; left out, the
+        # fake's own default shows that nothing was passed
         seen = []
-        monkeypatch.setattr("actfactors.cli.run_experiment", lambda config: seen.append(config) or ReplicationReport({}, []))
+
+        def fake_run(config, workers="default"):
+            seen.append((config, workers))
+            return ReplicationReport({}, [])
+
+        monkeypatch.setattr("actfactors.cli.run_experiment", fake_run)
         assert main(["simulate", "--case", "1", "--p", "20", "--n", "50", *args]) == 0
         capsys.readouterr()
-        assert seen == [ExperimentConfig(cases=(1,), p_values=(20,), n_values=(50,), **kwargs)]
+        workers = 2 if "--workers" in args else "default"
+        assert seen == [(ExperimentConfig(cases=(1,), p_values=(20,), n_values=(50,), **kwargs), workers)]
 
     @pytest.mark.parametrize(
         "args, kwargs", [([], {}), (["--seeds", "1", "--seed", "5"], dict(seeds=1, master_seed=5))], ids=["unset", "set"]
@@ -726,6 +740,20 @@ class TestSimulateCommand:
         )
         assert rc == 0
         assert "TRUE" in capsys.readouterr().out
+
+    def test_text_table_with_out_file(self, tmp_path, capsys):
+        # the table goes to stdout and the JSON to the file; the file has the
+        # same bytes at one and at two workers
+        args = ["simulate", "--case", "1", "--p", "30", "--n", "60", "--k", "3", "--reps", "4", "--seed", "9",
+                "--methods", "ACT", "ER", "--text-table"]
+        report = run_experiment(ExperimentConfig(
+            cases=(1,), p_values=(30,), n_values=(60,), k_true=3, replications=4, master_seed=9, methods=("ACT", "ER"),
+        ))
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            assert main([*args, "--workers", workers, "--out", str(out)]) == 0
+            assert capsys.readouterr() == (render_text_table(report) + "\n", "")
+            assert out.read_text() == report.to_json() + "\n"
 
     def test_default_methods_are_the_config_defaults(self, capsys):
         assert main(["simulate", "--case", "1", "--p", "30", "--n", "60", "--k", "3", "--reps", "2"]) == 0

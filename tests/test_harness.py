@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from actfactors.harness import (
 )
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.spectral import Spectrum, spectra
+from helpers import refusal
 
 
 def small_config(**kw):
@@ -305,9 +307,12 @@ class TestDeterminism:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        serial = run_experiment(small_config(replications=10, workers=1))
-        parallel = run_experiment(small_config(replications=10, workers=3))
-        assert serial.cells == parallel.cells
+        # the whole report, config included: workers is how a run executes,
+        # not a setting the report records
+        serial = run_experiment(small_config(replications=10))
+        parallel = run_experiment(small_config(replications=10), workers=3)
+        assert serial.to_json() == parallel.to_json()
+        assert "workers" not in json.loads(parallel.to_json())["config"]
 
     def test_pooled_run_keeps_failures_and_the_environment(self, monkeypatch):
         # GR fails on every replication (r_max beyond the covariance rank);
@@ -318,10 +323,50 @@ class TestDeterminism:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         before = dict(os.environ)
         kw = dict(p_values=(20,), n_values=(10,), k_true=2, r_max=12, methods=("GR", "ER", "ACT"), replications=5)
-        parallel = run_experiment(small_config(workers=2, **kw))
+        parallel = run_experiment(small_config(**kw), workers=2)
         assert dict(os.environ) == before
         assert parallel.cells == run_experiment(small_config(**kw)).cells
         assert parallel.cells[0]["methods"]["GR"]["failed_count"] == 5
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_refused_before_any_replication(self, monkeypatch, workers):
+        def never(*args):
+            raise AssertionError("ran before the workers check")
+
+        monkeypatch.setattr(harness, "_run_replications", never)
+        config = small_config()
+        assert refusal(lambda: run_cell(config.plans[0], workers)) == (ConfigError, "workers must be >= 1")
+        assert refusal(lambda: run_experiment(config, workers)) == (ConfigError, "workers must be >= 1")
+
+    @pytest.mark.parametrize(
+        "workers, cores, processes",
+        [(5000, 2, 2), (3, 8, 3), (5000, 8, 5), (2, 1, None), (2, None, None)],
+        ids=["cores", "workers", "chunks", "one-core", "unknown-cores"],
+    )
+    def test_pool_is_capped_at_workers_chunks_and_cores(self, monkeypatch, workers, cores, processes):
+        # a fake pool records its size and maps in this process, so no test
+        # starts more processes than the host has; the plan splits into 5
+        # chunks at any workers >= 5, and counts do not depend on the pool size
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        plan = small_config(replications=10).plans[0]
+        assert run_cell(plan, workers) == run_cell(plan)
+        assert sizes == ([] if processes is None else [processes])
 
     def test_blas_threads_pinned_only_inside_the_pool_block(self, monkeypatch):
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -12,6 +12,7 @@ from actfactors.models import (
     table1_scenario,
 )
 from actfactors.spectral import eigenvalues_desc, kaiser_population_count
+from helpers import refusal
 
 
 class TestBuildCase:
@@ -199,3 +200,60 @@ class TestCounterexample:
     def test_precondition(self):
         with pytest.raises(ConfigError):
             intro_counterexample_spec(6, 5, 25.0, SeededRng(19).generator())
+
+
+# intro_counterexample_spec's "failed to draw a well-conditioned loading
+# matrix" is left out: it needs K close to p at large K (p = 202, K = 200
+# fails all 100 draws), and its 100 SVDs take seconds there
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: FactorModelSpec(np.ones(3), np.ones(3)), ConfigError, "loadings must be a p x K matrix"),
+            (lambda: FactorModelSpec(np.ones((2, 2)), np.ones(2)), ConfigError, "need p > K, got p=2, K=2"),
+            (lambda: FactorModelSpec(np.ones((3, 0)), np.ones(3)), ConfigError, "need at least one factor column"),
+            (
+                lambda: FactorModelSpec(np.ones((3, 1)), np.array([1.0, 0.0, 1.0])), ConfigError,
+                "noise variances must be length p and strictly positive",
+            ),
+            (
+                lambda: FactorModelSpec(np.ones((3, 1)), np.ones(2)), ConfigError,
+                "noise variances must be length p and strictly positive",
+            ),
+            (
+                lambda: FactorModelSpec(np.full((3, 1), np.nan), np.ones(3)), DataError,
+                "model spec contains non-finite values",
+            ),
+            (
+                lambda: FactorModelSpec(np.ones((3, 1)), np.ones(3), "t"), ConfigError,
+                "family must be 'gaussian' or 'uniform', got 't'",
+            ),
+            (
+                lambda: sample_data(build_case(1, 10, 2, SeededRng(0).generator()), 2, SeededRng(1).generator()),
+                ConfigError, "need n >= 3 observations, got 2",
+            ),
+            (
+                lambda: table1_scenario(3, 5, 10, 1.0, SeededRng(2).generator()), ConfigError,
+                "scenario must be 1 or 2, got 3",
+            ),
+            (
+                lambda: table1_scenario(1, 1, 10, 1.0, SeededRng(2).generator()), ConfigError,
+                "need p > K >= 2, got p=10, K=1",
+            ),
+            (
+                lambda: intro_counterexample_spec(10, 3, 1.0, SeededRng(3).generator()), ConfigError,
+                "nu2_extra must exceed the unit noise variance",
+            ),
+            (
+                lambda: intro_counterexample_spec(4, 3, 5.0, SeededRng(3).generator()), ConfigError,
+                "need p > K+1, got p=4, K=3",
+            ),
+        ],
+        ids=[
+            "spec-1-d-loadings", "spec-p-not-above-k", "spec-no-factor", "spec-zero-noise", "spec-noise-length",
+            "spec-nan", "spec-family", "sample-n", "table1-scenario", "table1-k", "counterexample-nu2",
+            "counterexample-p",
+        ],
+    )
+    def test_public_refusals(self, call, error, message):
+        assert refusal(call) == (error, message)

@@ -10,6 +10,7 @@ from actfactors import panel
 from actfactors.panel import clean_outliers, ingest_csv
 from actfactors.spectral import DataMatrix
 from actfactors.panel import PanelDataset
+from helpers import refusal
 
 
 def write_csv(tmp_path, text, name="panel.csv"):
@@ -480,3 +481,18 @@ class TestCleanOutliers:
         cleaned = clean_outliers(ds)
         np.testing.assert_array_equal(cleaned.data.values, x)
         assert cleaned.cleaning_log == ()
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: PanelDataset(("a",), DataMatrix(np.zeros((3, 2)))), DataError,
+                "1 series names for 2 data columns",
+            ),
+        ],
+        ids=["names-columns-mismatch"],
+    )
+    def test_public_refusals(self, call, error, message):
+        assert refusal(call) == (error, message)

@@ -20,6 +20,7 @@ from actfactors.spectral import (
     to_correlation,
     _spectrum,
 )
+from helpers import refusal
 
 # spectra need at least 3 series
 panel_shapes = st.tuples(st.integers(3, 40), st.integers(3, 60))
@@ -510,3 +511,26 @@ class TestKaiserCounts:
             spec = eigenvalues_desc(to_correlation(sample_covariance(X)), n)
             counts.append(naive_kaiser_estimate(spec))
         assert np.median(counts) > p / 10
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: Spectrum(np.ones((2, 2))), DataError, "spectrum must be a 1-d sequence"),
+            (lambda: Spectrum([1.0, np.nan]), DataError, "spectrum contains non-finite values"),
+            (lambda: Spectrum([1.0], n=-1), DataError, "sample count n must be >= 0"),
+            (
+                lambda: DataMatrix(np.zeros(5)), DimensionError,
+                "data matrix must be 2-dimensional, got shape (5,)",
+            ),
+            # finite and symmetric, but far from PSD: the rescaled entries overflow
+            (
+                lambda: to_correlation([[1e-150, 1e160], [1e160, 1e-150]]), DataError,
+                "matrix contains non-finite entries",
+            ),
+        ],
+        ids=["spectrum-2-d", "spectrum-nan", "spectrum-negative-n", "data-matrix-1-d", "correlation-overflow"],
+    )
+    def test_public_refusals(self, call, error, message):
+        assert refusal(call) == (error, message)
