@@ -115,13 +115,10 @@ def build_case(
     if not p > K >= 1:
         raise ConfigError(f"need p > K >= 1, got p={p}, K={K}")
     if case_id == 1:
+        rows, j = np.arange(K + 1, p + 1), np.arange(1, K + 1)
         b = np.empty((p, K))
         b[:K, :] = np.sqrt(3.0 / np.sqrt(p))
-        rows = np.arange(K + 1, p + 1)
-        for j in range(1, K + 1):
-            col = np.full(p - K, np.sqrt(3.0 / (p - j)))
-            col[rows % K == j % K] *= -1.0
-            b[K:, j - 1] = col
+        b[K:, :] = np.where(rows[:, None] % K == j % K, -1.0, 1.0) * np.sqrt(3.0 / (p - j))
         nu2 = np.full(p, 0.55**2)
     elif case_id == 2:
         b = rng.standard_normal((p, K))
@@ -215,21 +212,17 @@ def intro_counterexample_spec(
     """Heterogeneous-scale construction on which covariance-based counts
     overshoot: dense U(-1,1) loadings except series K+1, which carries no
     factor exposure but noise variance nu2_extra >> 1. Its covariance
-    eigenvalue equals nu2_extra exactly and lands right below the K factor
-    spikes, so gap/ratio methods on the covariance spectrum read K+1
+    eigenvalue equals nu2_extra exactly. When nu2_extra is below the K-th
+    eigenvalue of B B^T + I it lands right below the K factor spikes, at
+    position K+1, so gap/ratio methods on the covariance spectrum read K+1
     separated eigenvalues; the correlation spectrum is unaffected.
     """
     if not p > K + 1:
         raise ConfigError(f"need p > K+1, got p={p}, K={K}")
     if not nu2_extra > 1.0:
         raise ConfigError("nu2_extra must exceed the unit noise variance")
-    for _ in range(100):
-        b = rng.uniform(-1.0, 1.0, (p, K))
-        b[K, :] = 0.0
-        if np.linalg.cond(b) < 100.0:
-            break
-    else:
-        raise DataError("failed to draw a well-conditioned loading matrix")
+    b = rng.uniform(-1.0, 1.0, (p, K))
+    b[K, :] = 0.0
     nu2 = np.ones(p)
     nu2[K] = float(nu2_extra)
     return FactorModelSpec(b, nu2, "gaussian")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -22,14 +24,16 @@ class TestBuildCase:
         assert np.all(spec.noise_variances == 0.55**2)
 
     def test_case1_tail_magnitudes_and_signs(self):
-        p, K = 40, 5
-        spec = build_case(1, p, K, SeededRng(0).generator())
-        b = spec.loadings
-        for j in range(1, K + 1):
-            tail = b[K:, j - 1]
-            np.testing.assert_allclose(np.abs(tail), np.sqrt(3.0 / (p - j)), rtol=1e-14)
+        # oracle: each tail column built on its own, sqrt(3/(p-j)) with its
+        # sign flipped where l = j (mod K); bit for bit, at two p
+        K = 5
+        for p in (40, 137):
+            b = build_case(1, p, K, SeededRng(0).generator()).loadings
             rows = np.arange(K + 1, p + 1)
-            np.testing.assert_array_equal(tail < 0, rows % K == j % K)
+            for j in range(1, K + 1):
+                col = np.full(p - K, np.sqrt(3.0 / (p - j)))
+                col[rows % K == j % K] *= -1.0
+                assert b[K:, j - 1].tobytes() == col.tobytes(), (p, j)
 
     def test_case1_deterministic(self):
         a = build_case(1, 60, 5, SeededRng(1).generator()).loadings
@@ -189,22 +193,39 @@ class TestCounterexample:
         assert np.all(np.delete(spec.noise_variances, 5) == 1.0)
 
     def test_covariance_eigenvalue_is_nu2_extra(self):
-        # brute-force eigensolve: the scaled-noise coordinate decouples and
-        # lands exactly at position K+1, below the K factor spikes
-        spec = intro_counterexample_spec(200, 5, 25.0, SeededRng(18).generator())
-        sigma = spec.loadings @ spec.loadings.T + np.diag(spec.noise_variances)
-        w = np.sort(np.linalg.eigvalsh(sigma))[::-1]
-        assert w[5] == pytest.approx(25.0, rel=1e-12)
-        assert w[4] > 25.0
+        # brute-force eigensolve: the scaled-noise coordinate decouples, so
+        # nu2_extra is an exact eigenvalue; it sits at position K+1, below the
+        # K factor spikes, exactly when it is below the K-th eigenvalue of
+        # B B^T + I (at p = 50 it is the top one)
+        for p, seed, position in [(200, 18, 6), (50, 17, 1), (100, 1, 5)]:
+            spec = intro_counterexample_spec(p, 5, 25.0, SeededRng(seed).generator())
+            b = spec.loadings
+            w = np.sort(np.linalg.eigvalsh(b @ b.T + np.diag(spec.noise_variances)))[::-1]
+            spikes = np.sort(np.linalg.eigvalsh(b @ b.T + np.eye(p)))[::-1]
+            assert w[position - 1] == pytest.approx(25.0, rel=1e-12), p
+            assert (position == 6) == (spikes[4] > 25.0), p
+
+    @pytest.mark.parametrize("p, K", [(200, 5), (50, 5), (202, 200)])
+    def test_loadings_are_one_uniform_draw(self, p, K):
+        g, oracle = SeededRng(20).generator(), SeededRng(20).generator()
+        spec = intro_counterexample_spec(p, K, 25.0, g)
+        expected = oracle.uniform(-1.0, 1.0, (p, K))
+        expected[K, :] = 0.0
+        assert spec.loadings.tobytes() == expected.tobytes()
+        assert g.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("p, K", [(202, 200), (122, 120)])
+    def test_near_square_shapes_return_at_once(self, p, K):
+        start = time.perf_counter()
+        spec = intro_counterexample_spec(p, K, 25.0, SeededRng(3).generator())
+        assert time.perf_counter() - start < 1.0
+        assert np.linalg.matrix_rank(spec.loadings) == K
 
     def test_precondition(self):
         with pytest.raises(ConfigError):
             intro_counterexample_spec(6, 5, 25.0, SeededRng(19).generator())
 
 
-# intro_counterexample_spec's "failed to draw a well-conditioned loading
-# matrix" is left out: it needs K close to p at large K (p = 202, K = 200
-# fails all 100 draws), and its 100 SVDs take seconds there
 class TestRefusals:
     @pytest.mark.parametrize(
         "call, error, message",
