@@ -53,7 +53,7 @@ from .models import (
     sample_data,
     table1_scenario,
 )
-from .analysis import ols_r2, pc_scores, projection_distance, variance_explained
+from .analysis import ols_r2, projection_distance, variance_explained
 from .panel import PanelDataset, clean_outliers, ingest_csv
 from .spectral import (
     DataMatrix,
@@ -61,6 +61,7 @@ from .spectral import (
     eigenvalues_desc,
     kaiser_population_count,
     naive_kaiser_estimate,
+    pc_scores,
     sample_covariance,
     spectra,
     square_spectra,

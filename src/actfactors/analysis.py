@@ -1,4 +1,4 @@
-"""Empirical-study helpers: variance shares, principal-component scores,
+"""Empirical-study helpers on spectra and factor matrices: variance shares,
 factor regressions, and subspace distances between factor spaces.
 """
 
@@ -7,11 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, check_range
-from .spectral import DataMatrix, Spectrum, sample_covariance, standard_deviations, to_correlation
+from .spectral import Spectrum
 
 __all__ = [
     "variance_explained",
-    "pc_scores",
     "ols_r2",
     "projection_distance",
 ]
@@ -24,25 +23,6 @@ def variance_explained(spec: Spectrum, k: int) -> float:
     if total <= 0.0:
         raise DataError("total variance is zero")
     return float(spec.eigenvalues[:k].sum()) / total
-
-
-def pc_scores(X: DataMatrix, k: int) -> np.ndarray:
-    """Project the centered, standardized data onto the top-k eigenvectors
-    of to_correlation(sample_covariance(X)): the matrix whose eigenvalues
-    the reports print. The data are X.centred() divided by
-    standard_deviations of the covariance's diagonal, so a panel whose
-    entries or column means overflow is sample_covariance's DataError.
-    Sign convention: the largest-magnitude loading of each component is
-    positive."""
-    n, p = X.n, X.p
-    check_range("k", k, 0, min(n - 1, p), "min(n-1, p)")
-    if k == 0:
-        return np.empty((n, 0))
-    cov = sample_covariance(X)
-    w, v = np.linalg.eigh(to_correlation(cov))  # raises on a zero variance before the division
-    vk = v[:, np.argsort(w)[::-1][:k]]
-    vk *= np.where(vk[np.argmax(np.abs(vk), axis=0), range(k)] < 0.0, -1.0, 1.0)
-    return (X.centred() / standard_deviations(np.diag(cov))) @ vk
 
 
 def ols_r2(y: np.ndarray, F: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .act import act_estimate, act_threshold
-from .analysis import ols_r2, pc_scores, projection_distance, variance_explained
+from .analysis import ols_r2, projection_distance, variance_explained
 from .errors import ActFactorsError, ConfigError, DataError, check_range
 from .harness import (
     METHODS,
@@ -27,7 +27,7 @@ from .harness import (
     run_table1,
 )
 from .panel import PanelDataset, clean_outliers, ingest_csv
-from .spectral import square_spectra
+from .spectral import pc_scores, square_spectra
 
 __all__ = ["main", "estimate_report", "analyze_report"]
 
@@ -74,7 +74,7 @@ def estimate_report(
             "r_max": r_max,
             "ed_threshold": ed_threshold,
             "on_r_min": on_r_min,
-            "basis": basis or "per-method default (covariance for ER/GR/ED/ON/PC/IC, correlation for ACT/KAISER)",
+            "basis": basis or f"per-method default ({', '.join(f'{m}: {METHODS[m][0]}' for m in methods)})",
         },
         "threshold": act_threshold(p, n),
         "eigenvalues": {

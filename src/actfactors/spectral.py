@@ -1,4 +1,4 @@
-"""Covariance/correlation construction, symmetric eigensolves, eigenvalue counts.
+"""Covariance/correlation construction, symmetric eigensolves, eigenvalue counts, PC scores.
 
 The sample covariance uses divisor n (not n-1); the estimation threshold
 elsewhere uses n-1 separately. All functions are pure except spectra,
@@ -11,16 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ZeroVarianceSeries
+from .errors import DataError, DimensionError, ZeroVarianceSeries, check_range
 
 __all__ = [
     "DataMatrix",
     "Spectrum",
     "spectra",
     "square_spectra",
+    "pc_scores",
     "sample_covariance",
     "to_correlation",
-    "standard_deviations",
     "eigenvalues_desc",
     "kaiser_population_count",
     "naive_kaiser_estimate",
@@ -147,9 +147,9 @@ def _check_finite(arr: np.ndarray) -> None:
         raise DataError("covariance matrix contains non-finite entries")
 
 
-def standard_deviations(d: np.ndarray) -> np.ndarray:
+def _standard_deviations(d: np.ndarray) -> np.ndarray:
     """sqrt(d) for the variances d: the package's one variance rule, shared
-    by both spectra routes. A non-finite variance is a DataError; one below
+    by both spectra routes and pc_scores. A non-finite variance is a DataError; one below
     1e-12 of the mean variance is a ZeroVarianceSeries naming its 1-based
     column; one below the smallest normal float (subnormal: digits lost, and
     the rescale's outer product of 1/sd would overflow) is a DataError naming
@@ -174,8 +174,8 @@ def to_correlation(M: np.ndarray) -> np.ndarray:
 
 def _correlate_in_place(M: np.ndarray) -> np.ndarray:
     """Rescale the covariance M to unit diagonal in place and return it."""
-    inv_sd = 1.0 / standard_deviations(np.diag(M))
-    # standard_deviations keeps 1/sd below 1e154, so on a covariance the
+    inv_sd = 1.0 / _standard_deviations(np.diag(M))
+    # _standard_deviations keeps 1/sd below 1e154, so on a covariance the
     # product stays finite; a caller's non-PSD matrix (|M_ij| far above
     # sqrt(M_ii M_jj)) can still overflow, so refuse that before np.clip
     # would turn an infinite entry into +-1
@@ -205,7 +205,7 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
 
     Both routes refuse exactly the panels square_spectra refuses, with its
     messages: fewer than 3 series, a non-finite covariance, and the variance
-    rule of standard_deviations. For p <= n: square_spectra(X). For p > n
+    rule of _standard_deviations. For p <= n: square_spectra(X). For p > n
     (>= 4) the centred panel Z has rank at most n - 1, so both p x p spectra
     are those of the n x n Gram matrices Z Z^T/n and Zs Zs^T/n (Zs: each
     column of Z divided by its standard deviation) padded with p - n zeros.
@@ -222,11 +222,11 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     # the Gram before the variances, as in square_spectra, so a panel that
     # overflows one and has a zero variance gets the same error on both routes
     G = _gram(Z, n)
-    # an overflowing variance is reported by standard_deviations; 1/sd and
+    # an overflowing variance is reported by _standard_deviations; 1/sd and
     # the standardised entries (|Zs| <= sqrt(n)) cannot overflow
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.einsum("ij,ij->j", Z, Z) / n
-    Z *= 1.0 / standard_deviations(d)
+    Z *= 1.0 / _standard_deviations(d)
     return _spectrum(G, n, p), _spectrum(_gram(Z, n), n, p)
 
 
@@ -245,7 +245,7 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     n, so on data near the overflow limit it overflows slightly earlier,
     with the same DataError. Fewer than 3 series is a DimensionError: ACT,
     GR and ON need r_max <= p - 2, so the default methods and analyze's ACT
-    count cannot run on fewer. Every variance passes standard_deviations.
+    count cannot run on fewer. Every variance passes _standard_deviations.
     """
     n, p = X.n, X.p
     if p < 3:
@@ -257,6 +257,24 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     cov_spec = _spectrum(cov, n, p)
     del cov
     return cov_spec, _spectrum(_correlate_in_place(M), n, p)
+
+
+def pc_scores(X: DataMatrix, k: int) -> np.ndarray:
+    """The centred, standardised panel times the top-k eigenvectors of its
+    correlation, built as in square_spectra: bit for bit, and with the errors
+    of, to_correlation(sample_covariance(X)). Sign convention: the
+    largest-magnitude loading of each component is positive."""
+    n, p = X.n, X.p
+    check_range("k", k, 0, min(n - 1, p), "min(n-1, p)")
+    if k == 0:
+        return np.empty((n, 0))
+    Z = X.centred()
+    M = _gram(Z.T, n)
+    Z /= _standard_deviations(np.diag(M))
+    w, v = np.linalg.eigh(_correlate_in_place(M))
+    vk = v[:, np.argsort(w)[::-1][:k]]
+    vk *= np.where(vk[np.argmax(np.abs(vk), axis=0), range(k)] < 0.0, -1.0, 1.0)
+    return Z @ vk
 
 
 def _spectrum(arr: np.ndarray, n: int, p: int) -> Spectrum:

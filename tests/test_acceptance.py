@@ -22,6 +22,7 @@ from actfactors.act import (
     default_r_max,
     partial_stieltjes,
 )
+from actfactors.analysis import ols_r2, projection_distance
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, er_estimate, gr_estimate
 from actfactors.harness import ExperimentConfig, run_experiment, run_table1
 from actfactors.models import (
@@ -32,10 +33,12 @@ from actfactors.models import (
     population_correlation,
     sample_data,
 )
+from actfactors.panel import ingest_csv
 from actfactors.spectral import (
     DataMatrix,
     Spectrum,
     eigenvalues_desc,
+    pc_scores,
     sample_covariance,
     spectra,
     to_correlation,
@@ -416,9 +419,6 @@ _ff_available = all(os.environ.get(v) for pair in FF_ENV.values() for v in pair)
     reason="daily portfolio CSVs not provided (set ACTFACTORS_FF_*_CSV env vars)",
 )
 def test_criterion_10_portfolio_panels():
-    from actfactors.analysis import ols_r2, pc_scores, projection_distance
-    from actfactors.panel import ingest_csv
-
     pre = ingest_csv(os.environ[FF_ENV["pre"][0]], drop_missing=True)
     pre_factors = ingest_csv(os.environ[FF_ENV["pre"][1]], drop_missing=True)
     post = ingest_csv(os.environ[FF_ENV["post"][0]], drop_missing=True)

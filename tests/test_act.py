@@ -224,6 +224,30 @@ class TestAdjustEigenvalues:
         assert adj.jittered == jittered
 
     @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 40), ratio=st.integers(10, 20), seed=st.integers(0, 10_000), data=st.data())
+    def test_zero_block_in_closed_form(self, n, ratio, seed, data):
+        # p >= 10 n with rank n - 1, as a correlation spectrum at p > n has:
+        # each of the p - n + 1 exact zeros past j adds -1/z to the sum.
+        # With rho_j = (p-j)/(n-1) the zero block and -(1 - rho_j)/z cancel
+        # to -j/((n-1) z), so the adjusted values do not depend on p
+        p = ratio * n
+        top = np.sort(np.random.default_rng(seed).uniform(0.1, 50.0, n - 1))[::-1]
+        lam = np.concatenate([top, np.zeros(p - n + 1)])
+        r_max = data.draw(st.integers(1, n - 1), label="r_max")
+        closed, free_of_p = [], []
+        for j in range(1, r_max + 1):
+            z, rest = top[j - 1], top[j:]
+            node = (3.0 * z + (rest[0] if rest.size else 0.0)) / 4.0
+            total = np.sum(1.0 / (rest - z)) - (p - n + 1) / z + 1.0 / (node - z)
+            rho = (p - j) / (n - 1)
+            closed.append(-1.0 / (-(1.0 - rho) / z + rho * total / (p - j)))
+            free_of_p.append((n - 1) / (j / z + np.sum(1.0 / (z - rest)) + 1.0 / (z - node)))
+        adj = adjust_eigenvalues(spectrum(lam, n=n), n, r_max)
+        assert not adj.jittered
+        np.testing.assert_allclose(adj.adjusted, closed, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(adj.adjusted, free_of_p, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_shrinkage_property(self, seed):
         rng = np.random.default_rng(seed)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actfactors.analysis import ols_r2, pc_scores, projection_distance, variance_explained
+from actfactors.analysis import ols_r2, projection_distance, variance_explained
 from actfactors.errors import ConfigError, DataError, ZeroVarianceSeries
-from actfactors.spectral import DataMatrix, sample_covariance, to_correlation
+from actfactors.spectral import DataMatrix, pc_scores, sample_covariance, to_correlation
 
 from helpers import refusal, spectrum
 
@@ -78,9 +78,9 @@ class TestPcScores:
                 pc_scores(X, 2)
 
     @staticmethod
-    def _panel(seed):
+    def _panel(seed, p):
         rng = np.random.default_rng(seed)
-        return rng.standard_normal((30, 8)) * rng.uniform(0.5, 5.0, 8) + rng.uniform(-3.0, 3.0, 8)
+        return rng.standard_normal((30, p)) * rng.uniform(0.5, 5.0, p) + rng.uniform(-3.0, 3.0, p)
 
     @staticmethod
     def _top_eigenvectors(m, k):
@@ -92,20 +92,22 @@ class TestPcScores:
     @given(seed=st.integers(0, 10_000))
     def test_correlation_factorises_the_reported_matrix(self, seed):
         # oracle: the centred data over sqrt(diag(cov)), times the top
-        # eigenvectors of to_correlation(sample_covariance(X)), bit for bit
-        X = self._panel(seed)
-        cov = sample_covariance(DataMatrix(X))
-        zs = (X - X.mean(axis=0)) / np.sqrt(np.diag(cov))
-        vk = self._top_eigenvectors(to_correlation(cov), 3)
-        scores = pc_scores(DataMatrix(X), 3)
-        assert scores.tobytes() == (zs @ vk).tobytes()
-        # the earlier body standardised by sum(z**2)/n and took eigh of the
-        # symmetrised Gram; it differs only at round-off
-        z = X - X.mean(axis=0)
-        z /= np.sqrt(np.sum(z**2, axis=0) / 30)
-        m = z.T @ z / 30
-        old = z @ self._top_eigenvectors((m + m.T) / 2.0, 3)
-        np.testing.assert_allclose(scores, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
+        # eigenvectors of to_correlation(sample_covariance(X)), bit for bit,
+        # on each side of p = n
+        for p in (8, 90):
+            X = self._panel(seed, p)
+            cov = sample_covariance(DataMatrix(X))
+            zs = (X - X.mean(axis=0)) / np.sqrt(np.diag(cov))
+            vk = self._top_eigenvectors(to_correlation(cov), 3)
+            scores = pc_scores(DataMatrix(X), 3)
+            assert scores.tobytes() == (zs @ vk).tobytes(), p
+            # the earlier body standardised by sum(z**2)/n and took eigh of the
+            # symmetrised Gram; it differs only at round-off
+            z = X - X.mean(axis=0)
+            z /= np.sqrt(np.sum(z**2, axis=0) / 30)
+            m = z.T @ z / 30
+            old = z @ self._top_eigenvectors((m + m.T) / 2.0, 3)
+            np.testing.assert_allclose(scores, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
 
     def test_non_finite_array_is_a_data_error(self):
         X = np.random.default_rng(7).standard_normal((20, 5))

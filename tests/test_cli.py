@@ -13,7 +13,7 @@ import pytest
 import actfactors
 from actfactors import act as act_module
 from actfactors.act import AdjustedSpectrum, act_estimate, act_select, adjust_eigenvalues, default_r_max
-from actfactors.analysis import ols_r2, pc_scores
+from actfactors.analysis import ols_r2
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
 from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
@@ -22,7 +22,9 @@ from actfactors.harness import (
 )
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, clean_outliers, ingest_csv
-from actfactors.spectral import DataMatrix, eigenvalues_desc, naive_kaiser_estimate, sample_covariance, to_correlation
+from actfactors.spectral import (
+    DataMatrix, eigenvalues_desc, naive_kaiser_estimate, pc_scores, sample_covariance, to_correlation,
+)
 
 
 def run_cli(args, env, **kwargs):
@@ -126,6 +128,15 @@ class TestEstimateCommand:
         assert forced["config"]["basis"] == "corr"
         with pytest.raises(ConfigError):
             estimate_report(ds, methods=("ER",), basis="both")
+
+    def test_default_basis_text_is_the_method_table(self, factor_panel_csv):
+        # each requested method with its METHODS basis, in the requested order
+        ds = ingest_csv(factor_panel_csv)
+        text = estimate_report(ds, methods=("KAISER", "ER"))["config"]["basis"]
+        assert text == "per-method default (KAISER: corr, ER: cov)"
+        text = estimate_report(ds, methods=tuple(METHODS), ed_threshold=0.5)["config"]["basis"]
+        entries = text.removeprefix("per-method default (").removesuffix(")").split(", ")
+        assert entries == [f"{m}: {METHODS[m][0]}" for m in METHODS]
 
     @pytest.mark.parametrize("basis", [None, "cov", "corr"])
     def test_adjusted_values_explain_the_act_count(self, basis):

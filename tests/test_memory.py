@@ -1,4 +1,4 @@
-"""Peak traced memory of the estimate path, in units of the arrays it must hold.
+"""Peak traced memory of the estimate and PC-score paths, in units of the arrays they must hold.
 
 numpy reports its array buffers to tracemalloc; LAPACK's workspace inside
 eigvalsh is not traced, so the bounds count the matrices the package builds.
@@ -10,7 +10,7 @@ import numpy as np
 
 from actfactors.cli import estimate_report
 from actfactors.panel import PanelDataset, ingest_csv
-from actfactors.spectral import DataMatrix
+from actfactors.spectral import DataMatrix, pc_scores
 
 
 def traced_peak(call) -> int:
@@ -31,6 +31,14 @@ def test_estimate_report_holds_one_square_matrix_and_its_rescale():
     X = DataMatrix(np.random.default_rng(0).standard_normal((n, p)))
     ds = PanelDataset(tuple(f"s{j}" for j in range(p)), X)
     assert traced_peak(lambda: estimate_report(ds)) <= 2.5 * 8 * p * p
+
+
+def test_pc_scores_hold_one_square_matrix_and_its_eigenvectors():
+    # the earlier body built the covariance, a rescaled copy and the
+    # eigenvectors, and centred the panel twice: about 3.2 p x p matrices
+    n, p = 30, 300
+    X = DataMatrix(np.random.default_rng(2).standard_normal((n, p)))
+    assert traced_peak(lambda: pc_scores(X, 3)) <= 2.5 * 8 * p * p
 
 
 def test_ingest_csv_holds_at_most_three_panels(tmp_path):
