@@ -52,10 +52,9 @@ def estimate_report(
     methods = canonical_methods(methods)
     if basis not in (None, "cov", "corr"):
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
-    # not spectra(): square_spectra's correlation eigenvalues, and with them
-    # the adjusted eigenvalues, are the ones earlier reports published, bit
-    # for bit; at p > n its covariance spectrum comes from the n x n Gram.
-    # It runs first, so a panel it refuses is a data error before any option
+    # not spectra(): square_spectra keeps the correlation (and adjusted)
+    # eigenvalues earlier reports published, bit for bit. It runs first, so a
+    # panel it refuses is a data error before any option
     cov_spec, corr_spec = square_spectra(X)
     r_max = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     by_basis = {"cov": cov_spec, "corr": corr_spec}
@@ -96,20 +95,16 @@ def analyze_report(ds: PanelDataset, factors: PanelDataset, k: int | None = None
     if k is not None:
         check_range("k", k, 1, min(n - 1, p), "min(n-1, p)")
     if factors.data.n != n:
-        raise DataError(
-            f"panel has {n} observations but factor series have {factors.data.n}"
-        )
-    # estimate's spectra, so both subcommands report the same ACT count
-    _, corr_spec = square_spectra(X)
+        raise DataError(f"panel has {n} observations but factor series have {factors.data.n}")
+    # estimate's correlation spectrum bit for bit, so both report one ACT count
+    corr_spec, scores = pc_scores(X)
     act_k = act_estimate(corr_spec)
     use_k = k if k is not None else act_k
     if use_k < 1:
         raise DataError(f"selected factor count k={use_k} is not positive")
-    scores = pc_scores(X, use_k)
+    scores = scores[:, :use_k]
     fmat = factors.data.values
-    r2 = {
-        name: ols_r2(fmat[:, j], scores) for j, name in enumerate(factors.names)
-    }
+    r2 = {name: ols_r2(fmat[:, j], scores) for j, name in enumerate(factors.names)}
     op, frob = projection_distance(fmat, scores)
     return {
         "schema": "actfactors/analysis-report/v1",

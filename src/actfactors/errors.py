@@ -5,6 +5,8 @@ Two branches matter for the CLI: ConfigError maps to exit code 2,
 DataError (and subclasses) to exit code 3.
 """
 
+import operator
+
 
 class ActFactorsError(Exception):
     """Base class for all package errors."""
@@ -47,6 +49,10 @@ class NumericalDomain(ActFactorsError):
 
 
 def check_range(name: str, value: int, low: int, high: int, bound: str) -> None:
-    """Raise ConfigError unless low <= value <= high; bound names high in the message."""
+    """Raise ConfigError unless value is an integer with low <= value <= high; bound names high."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value}") from None
     if not low <= value <= high:
         raise ConfigError(f"{name} must satisfy {low} <= {name} <= {bound}={high}, got {value}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ZeroVarianceSeries, check_range
+from .errors import DataError, DimensionError, ZeroVarianceSeries
 
 __all__ = [
     "DataMatrix",
@@ -232,20 +232,17 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
 
 def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, with the correlation
-    through one p x p matrix; X is left unchanged.
+    through one p x p matrix; estimate's route. X is left unchanged.
 
     The correlation spectrum is bit for bit eigenvalues_desc on
-    to_correlation of sample_covariance, at every p: the covariance is
-    rescaled to the correlation in place and, being exactly symmetric as
-    built, is not re-checked for symmetry. The covariance spectrum is that
-    composition's bit for bit when p <= n. When p > n it is taken from the
-    n x n Gram Z Z^T/n of the centred panel, padded with p - n exact zeros;
-    it agrees with the p x p eigensolve to round-off (about 1e-15 of the
-    top eigenvalue). G sums p terms per entry where the p x p matrix sums
-    n, so on data near the overflow limit it overflows slightly earlier,
-    with the same DataError. Fewer than 3 series is a DimensionError: ACT,
-    GR and ON need r_max <= p - 2, so the default methods and analyze's ACT
-    count cannot run on fewer. Every variance passes _standard_deviations.
+    to_correlation of sample_covariance, at every p, and pc_scores's. The
+    covariance spectrum is that composition's bit for bit when p <= n. When
+    p > n it is taken from the n x n Gram Z Z^T/n of the centred panel,
+    padded with p - n exact zeros; it agrees with the p x p eigensolve to
+    round-off (about 1e-15 of the top eigenvalue), and on data near the
+    overflow limit it overflows slightly earlier, with the same DataError.
+    Fewer than 3 series is a DimensionError: ACT, GR and ON need
+    r_max <= p - 2. Every variance passes _standard_deviations.
     """
     n, p = X.n, X.p
     if p < 3:
@@ -259,22 +256,23 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     return cov_spec, _spectrum(_correlate_in_place(M), n, p)
 
 
-def pc_scores(X: DataMatrix, k: int) -> np.ndarray:
-    """The centred, standardised panel times the top-k eigenvectors of its
-    correlation, built as in square_spectra: bit for bit, and with the errors
-    of, to_correlation(sample_covariance(X)). Sign convention: the
-    largest-magnitude loading of each component is positive."""
+def pc_scores(X: DataMatrix) -> tuple[Spectrum, np.ndarray]:
+    """The correlation spectrum of a panel, square_spectra's bit for bit, and
+    the centred, standardised panel times the top min(n-1, p) eigenvectors of
+    that correlation, each with its largest-magnitude loading positive. Errors:
+    to_correlation(sample_covariance(X))'s, and fewer than 3 series."""
     n, p = X.n, X.p
-    check_range("k", k, 0, min(n - 1, p), "min(n-1, p)")
-    if k == 0:
-        return np.empty((n, 0))
+    if p < 3:
+        raise DimensionError(f"spectra need at least 3 series, got {p}")
     Z = X.centred()
     M = _gram(Z.T, n)
     Z /= _standard_deviations(np.diag(M))
-    w, v = np.linalg.eigh(_correlate_in_place(M))
-    vk = v[:, np.argsort(w)[::-1][:k]]
-    vk *= np.where(vk[np.argmax(np.abs(vk), axis=0), range(k)] < 0.0, -1.0, 1.0)
-    return Z @ vk
+    spec = _spectrum(_correlate_in_place(M), n, p)
+    w, v = np.linalg.eigh(M)
+    del M  # free the correlation before the eigenvectors are gathered
+    v = v[:, np.argsort(w)[::-1][: n - 1]]  # the top min(n-1, p)
+    v *= np.where(v[np.argmax(np.abs(v), axis=0), range(v.shape[1])] < 0.0, -1.0, 1.0)
+    return spec, Z @ v
 
 
 def _spectrum(arr: np.ndarray, n: int, p: int) -> Spectrum:

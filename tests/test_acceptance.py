@@ -428,7 +428,7 @@ def test_criterion_10_portfolio_panels():
     k_pre = act_estimate(spec_pre)
     k_post = act_estimate(spec_post)
 
-    scores = pc_scores(pre.data, 4)
+    scores = pc_scores(pre.data)[1][:, :4]
     fmat = pre_factors.data.values
     r2_market = ols_r2(fmat[:, 0], scores)
     op, frob = projection_distance(fmat[:, :4], scores)
@@ -486,4 +486,55 @@ def test_criterion_11_detection_boundary():
         ok,
         f"P(k>=1) over {reps} reps: {table} (<= 0.25 at c=0.6, >= 0.9 at c=1.5, "
         f"c=1.2 larger size >= smaller - 2 SE = {q_small - 2 * se:.2f}); {elapsed:.1f}s (< 30s)",
+    )
+
+
+def test_criterion_12_detection_boundary_at_p_over_n_10():
+    # criterion 11's one-factor construction at p/n = 10, where the p - n + 1
+    # exact zeros of the sample correlation carry most of ACT's Stieltjes sum.
+    # Bounds fixed from theory before the first run:
+    # - c = 0.6 is below the boundary; its share is the no-factor rate,
+    #   held to criterion 11's 0.25.
+    # - c = 2.0 is far above it. With gamma = 10, lambda = 8.32 and the
+    #   spiked sample eigenvalue settles at psi(lambda) = lambda (1 +
+    #   gamma/(lambda - 1)) = 19.7, 2.4 above the bulk edge (1 + sqrt(gamma))^2
+    #   = 17.3; its standard deviation lambda sqrt(2 psi'(lambda)/n) (Paul,
+    #   Statistica Sinica 2007) is 1.06 at n = 100, so the share is about 0.98 or more, held to 0.9. At
+    #   criterion 11's c = 1.5 the gap is 0.8, about one standard deviation at
+    #   these sizes, too near the edge for a 0.9 bound.
+    # - c = 1.2 is just above it; its share rises with n, so the larger size's
+    #   share is at least the smaller's minus two standard errors.
+    # R = 100 as in criterion 11, about 8 s on 2 cores.
+    t0 = time.time()
+    reps, c_values, sizes = 100, (0.6, 1.2, 2.0), ((1000, 100), (2000, 200))
+    share = {}
+    for index, (p, n) in enumerate(sizes):
+        for c in c_values:
+            target = c * (1 + math.sqrt(p / n))
+            spec = FactorModelSpec(np.full((p, 1), math.sqrt((target - 1) / (p - target))), np.ones(p))
+            # the equal-loading correlation has the constant vector as its top eigenvector
+            np.testing.assert_allclose(population_correlation(spec) @ np.ones(p), np.full(p, target), rtol=1e-12)
+            detected = 0
+            for rep in range(reps):
+                X = sample_data(spec, n, SeededRng(MASTER_SEED + 120 + index, rep).generator())
+                detected += act_estimate(spectra(X)[1], r_max=default_r_max(p, n)) >= 1
+            share[(p, n), c] = detected / reps
+    elapsed = time.time() - t0
+    small, large = sizes
+    q_small, q_large = share[small, 1.2], share[large, 1.2]
+    se = math.sqrt((q_small * (1 - q_small) + q_large * (1 - q_large)) / reps)
+    ok = (
+        all(share[size, 0.6] <= 0.25 for size in sizes)
+        and all(share[size, 2.0] >= 0.9 for size in sizes)
+        and q_large >= q_small - 2 * se
+        and elapsed < 60.0
+    )
+    table = "; ".join(
+        f"c={c}: " + ", ".join(f"(p,n)={size} {share[size, c]:.2f}" for size in sizes) for c in c_values
+    )
+    report(
+        "12 detection boundary at p/n = 10",
+        ok,
+        f"P(k>=1) over {reps} reps: {table} (<= 0.25 at c=0.6, >= 0.9 at c=2.0, "
+        f"c=1.2 larger size >= smaller - 2 SE = {q_small - 2 * se:.2f}); {elapsed:.1f}s (< 60s)",
     )

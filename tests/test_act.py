@@ -408,8 +408,12 @@ class TestRefusals:
                 lambda: companion_stieltjes(1, spectrum([4.0, 2.0, 1.0], n=10), 0.0), PoleAtZ,
                 "z=0 is a pole of the companion transform",
             ),
+            (
+                lambda: act_estimate(spectrum(np.linspace(3.0, 1.0, 20), n=60), r_max=2.5), ConfigError,
+                "r_max must be an integer, got 2.5",
+            ),
         ],
-        ids=["threshold-n", "companion-n", "companion-z-zero"],
+        ids=["threshold-n", "companion-n", "companion-z-zero", "act-r-max-non-integer"],
     )
     def test_public_refusals(self, call, error, message):
         assert refusal(call) == (error, message)

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actfactors.analysis import ols_r2, projection_distance, variance_explained
-from actfactors.errors import ConfigError, DataError, ZeroVarianceSeries
-from actfactors.spectral import DataMatrix, pc_scores, sample_covariance, to_correlation
+from actfactors.errors import ConfigError, DataError, DimensionError, ZeroVarianceSeries
+from actfactors.spectral import (
+    DataMatrix,
+    eigenvalues_desc,
+    pc_scores,
+    sample_covariance,
+    square_spectra,
+    to_correlation,
+)
 
 from helpers import refusal, spectrum
 
@@ -26,22 +33,22 @@ class TestVarianceExplained:
         shares = [variance_explained(spec, k) for k in range(6)]
         assert shares == sorted(shares)
 
+    def test_numpy_integer_k(self):
+        spec = spectrum([3.0, 2.0, 1.0])
+        assert variance_explained(spec, np.int64(2)) == variance_explained(spec, 2)
+
     def test_zero_total_rejected(self):
         with pytest.raises(DataError):
             variance_explained(spectrum([0.0, 0.0]), 1)
 
 
 class TestPcScores:
-    def test_k_zero_empty(self):
-        X = DataMatrix(np.random.default_rng(0).standard_normal((10, 4)))
-        assert pc_scores(X, 0).shape == (10, 0)
-
     def test_rank_one_direction(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(20)
         v = rng.standard_normal(6)
         X = DataMatrix(np.outer(u, v))
-        scores = pc_scores(X, 1)
+        scores = pc_scores(X)[1][:, :1]
         uc = u - u.mean()
         corr = np.corrcoef(scores[:, 0], uc)[0, 1]
         assert abs(corr) == pytest.approx(1.0, abs=1e-10)
@@ -49,7 +56,7 @@ class TestPcScores:
     def test_orthogonality(self):
         rng = np.random.default_rng(2)
         X = DataMatrix(rng.standard_normal((60, 8)))
-        scores = pc_scores(X, 4)
+        scores = pc_scores(X)[1]
         gram = scores.T @ scores
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() <= 1e-8 * np.abs(gram).max()
@@ -57,7 +64,7 @@ class TestPcScores:
     def test_sign_convention(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 5))
-        np.testing.assert_allclose(np.abs(pc_scores(DataMatrix(X), 3)), np.abs(pc_scores(DataMatrix(-X), 3)), atol=1e-10)
+        np.testing.assert_allclose(np.abs(pc_scores(DataMatrix(X))[1]), np.abs(pc_scores(DataMatrix(-X))[1]), atol=1e-10)
 
     def test_constant_column_is_zero_variance_on_both_paths(self):
         # 0.1 does not centre to exact zeros; round-off must not be scaled up
@@ -67,7 +74,7 @@ class TestPcScores:
         with pytest.raises(ZeroVarianceSeries) as direct:
             to_correlation(sample_covariance(X))
         with pytest.raises(ZeroVarianceSeries) as scores:
-            pc_scores(X, 2)
+            pc_scores(X)
         assert direct.value.column == scores.value.column == 3
 
     def test_overflow_is_a_data_error_without_warning(self):
@@ -75,7 +82,7 @@ class TestPcScores:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="^covariance matrix contains non-finite entries$"):
-                pc_scores(X, 2)
+                pc_scores(X)
 
     @staticmethod
     def _panel(seed, p):
@@ -92,40 +99,53 @@ class TestPcScores:
     @given(seed=st.integers(0, 10_000))
     def test_correlation_factorises_the_reported_matrix(self, seed):
         # oracle: the centred data over sqrt(diag(cov)), times the top
-        # eigenvectors of to_correlation(sample_covariance(X)), bit for bit,
-        # on each side of p = n
+        # min(n-1, p) eigenvectors of to_correlation(sample_covariance(X)),
+        # bit for bit, on each side of p = n; the spectrum is the eigenvalues
+        # of that matrix, as square_spectra reports them
         for p in (8, 90):
             X = self._panel(seed, p)
+            k = min(29, p)
             cov = sample_covariance(DataMatrix(X))
             zs = (X - X.mean(axis=0)) / np.sqrt(np.diag(cov))
-            vk = self._top_eigenvectors(to_correlation(cov), 3)
-            scores = pc_scores(DataMatrix(X), 3)
+            vk = self._top_eigenvectors(to_correlation(cov), k)
+            spec, scores = pc_scores(DataMatrix(X))
             assert scores.tobytes() == (zs @ vk).tobytes(), p
+            assert spec.eigenvalues.tobytes() == eigenvalues_desc(to_correlation(cov)).eigenvalues.tobytes(), p
+            assert spec.eigenvalues.tobytes() == square_spectra(DataMatrix(X))[1].eigenvalues.tobytes(), p
+            assert spec.n == 30
             # the earlier body standardised by sum(z**2)/n and took eigh of the
             # symmetrised Gram; it differs only at round-off
             z = X - X.mean(axis=0)
             z /= np.sqrt(np.sum(z**2, axis=0) / 30)
             m = z.T @ z / 30
-            old = z @ self._top_eigenvectors((m + m.T) / 2.0, 3)
+            old = z @ self._top_eigenvectors((m + m.T) / 2.0, k)
             np.testing.assert_allclose(scores, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
 
     def test_non_finite_array_is_a_data_error(self):
         X = np.random.default_rng(7).standard_normal((20, 5))
         X[3, 1] = np.nan
         with pytest.raises(DataError, match="^data matrix contains non-finite entries$"):
-            pc_scores(DataMatrix(X), 2)
+            pc_scores(DataMatrix(X))
 
     def test_tiny_units_are_a_data_error(self):
         # variances near 1e-320 pass the zero-variance rule but fall below the
         # variance floor; estimate and analyze refuse it alike
         values = np.random.default_rng(3).standard_normal((30, 50))
         with pytest.raises(DataError, match=r"^series in column 1 has variance below 2\.23e-308; rescale the panel$"):
-            pc_scores(DataMatrix((values - values.mean(axis=0)) * 1e-160), 2)
+            pc_scores(DataMatrix((values - values.mean(axis=0)) * 1e-160))
 
     def test_k_bound(self):
-        X = DataMatrix(np.random.default_rng(4).standard_normal((5, 10)))
-        with pytest.raises(ConfigError):
-            pc_scores(X, 5)
+        # one score column per admissible k: min(n-1, p), analyze's bound on --k
+        for n, p in ((5, 10), (10, 10), (10, 4)):
+            spec, scores = pc_scores(DataMatrix(np.random.default_rng(4).standard_normal((n, p))))
+            assert scores.shape == (n, min(n - 1, p))
+            assert spec.p == p and spec.n == n
+
+    def test_fewer_than_three_series_is_refused_as_square_spectra_does(self):
+        X = DataMatrix(np.random.default_rng(8).standard_normal((20, 2)))
+        assert refusal(lambda: pc_scores(X)) == refusal(lambda: square_spectra(X)) == (
+            DimensionError, "spectra need at least 3 series, got 2"
+        )
 
 
 class TestOlsR2:
@@ -220,8 +240,13 @@ class TestRefusals:
                 lambda: projection_distance(np.zeros((3, 0)), np.eye(3)[:, :1]), DataError,
                 "first matrix must be a non-empty 2-d matrix",
             ),
+            (lambda: variance_explained(spectrum([3.0, 2.0, 1.0]), 4), ConfigError, "k must satisfy 0 <= k <= p=3, got 4"),
+            (lambda: variance_explained(spectrum([3.0, 2.0, 1.0]), 2.5), ConfigError, "k must be an integer, got 2.5"),
         ],
-        ids=["ols-1-d-factors", "ols-rows", "ols-too-many-regressors", "projection-rows", "projection-empty"],
+        ids=[
+            "ols-1-d-factors", "ols-rows", "ols-too-many-regressors", "projection-rows", "projection-empty",
+            "variance-k-range", "variance-k-non-integer",
+        ],
     )
     def test_public_refusals(self, call, error, message):
         assert refusal(call) == (error, message)

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import actfactors
-from actfactors import act as act_module
+from actfactors import act as act_module, spectral as spectral_module
 from actfactors.act import AdjustedSpectrum, act_estimate, act_select, adjust_eigenvalues, default_r_max
 from actfactors.analysis import ols_r2
 from actfactors.baselines import BaiNgVariant, bai_ng_estimate, ed_estimate, er_estimate, gr_estimate, on_estimate
 from actfactors.cli import _build_parser, analyze_report, estimate_report, main
-from actfactors.errors import ActFactorsError, ConfigError, DegenerateGap
+from actfactors.errors import ActFactorsError, ConfigError, DataError, DegenerateGap
 from actfactors.harness import (
     METHODS, ExperimentConfig, ReplicationReport, render_text_table, run_experiment, run_table1,
 )
@@ -25,6 +25,8 @@ from actfactors.panel import PanelDataset, clean_outliers, ingest_csv
 from actfactors.spectral import (
     DataMatrix, eigenvalues_desc, naive_kaiser_estimate, pc_scores, sample_covariance, to_correlation,
 )
+
+from helpers import refusal
 
 
 def run_cli(args, env, **kwargs):
@@ -119,6 +121,13 @@ class TestEstimateCommand:
         top = report["eigenvalues"]["correlation_top"]
         assert [lam[: len(top)].tolist() for lam in seen] == [top]
         assert "k" in report["methods"]["ACT"] and "adjusted_eigenvalues" in report
+
+    def test_non_integer_r_max_is_a_config_error(self, factor_panel_csv):
+        ds = ingest_csv(factor_panel_csv)
+        assert refusal(lambda: estimate_report(ds, r_max=2.5)) == (
+            ConfigError, "method ACT at p=20, n=120: r_max must be an integer, got 2.5"
+        )
+        assert estimate_report(ds, r_max=np.int64(5)) == estimate_report(ds, r_max=5)
 
     def test_basis_override(self, factor_panel_csv):
         ds = ingest_csv(factor_panel_csv)
@@ -826,17 +835,47 @@ class TestAnalyzeCommand:
         assert doc["k"] == 2
         assert doc["r2_on_pc_factors"]["f1"] > 0.0
 
-    @pytest.mark.parametrize("n, p", [(60, 20), (40, 40), (30, 90)])
-    def test_analyze_and_estimate_report_the_same_act_count(self, n, p):
+    @staticmethod
+    def _case_panel(case, n, p):
         g = SeededRng(59).generator()
-        X = sample_data(build_case(1, p, 3, g), n, g)
+        X = sample_data(build_case(case, p, 3, g), n, g)
         ds = PanelDataset(tuple(f"s{i}" for i in range(p)), X)
-        factors = PanelDataset(("f1", "f2"), DataMatrix(g.standard_normal((n, 2))))
-        analysis = analyze_report(ds, factors)
+        return ds, PanelDataset(("f1", "f2"), DataMatrix(g.standard_normal((n, 2))))
+
+    CASE_SHAPES = [(case, n, p) for case in (1, 2, 3, 4) for n, p in ((60, 20), (40, 40), (30, 90))]
+
+    @pytest.mark.parametrize(
+        "case, n, p", CASE_SHAPES, ids=[f"{n}-{p}" + (f"-case{case}" if case > 1 else "") for case, n, p in CASE_SHAPES]
+    )
+    def test_analyze_and_estimate_report_the_same_act_count(self, case, n, p):
+        # the same correlation eigenvalues, bit for bit, and the same count,
+        # also where ACT counts no factor (a given k lets analyze report it)
+        ds, factors = self._case_panel(case, n, p)
+        analysis = analyze_report(ds, factors, k=1)
         estimate = estimate_report(ds, methods=("ACT",))
         top = analysis["correlation_top"]
         assert top == estimate["eigenvalues"]["correlation_top"][: len(top)]
-        assert analysis["act_k"] == estimate["methods"]["ACT"]["k"] >= 1
+        count = estimate["methods"]["ACT"]["k"]
+        assert analysis["act_k"] == count
+        if count:
+            assert analyze_report(ds, factors)["k"] == count
+        else:
+            assert refusal(lambda: analyze_report(ds, factors)) == (DataError, "selected factor count k=0 is not positive")
+
+    @pytest.mark.parametrize("n, p", [(60, 20), (30, 90)], ids=["p<n", "p>n"])
+    def test_analyze_builds_one_gram(self, monkeypatch, n, p):
+        # one p x p correlation serves the ACT count and the scores
+        shapes = []
+        gram = spectral_module._gram
+        monkeypatch.setattr(spectral_module, "_gram", lambda A, n: shapes.append(A.shape) or gram(A, n))
+        ds, factors = self._case_panel(1, n, p)
+        assert analyze_report(ds, factors)["k"] == 3
+        assert shapes == [(p, n)]
+
+    def test_non_integer_k_is_a_config_error(self):
+        ds, factors = self._case_panel(1, 60, 20)
+        assert refusal(lambda: analyze_report(ds, factors, k=2.5)) == (ConfigError, "k must be an integer, got 2.5")
+        assert analyze_report(ds, factors, k=np.int64(2)) == analyze_report(ds, factors, k=2)
 
     @pytest.mark.parametrize(
         "args, code, message",
@@ -866,7 +905,7 @@ class TestAnalyzeCommand:
         factor_path = write_panel_csv(tmp_path / "f.csv", market[:, None], names=["mkt"])
         assert main(["analyze", panel_path, "--factors", factor_path, "--k", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        scores = pc_scores(DataMatrix(X), 2)
+        scores = pc_scores(DataMatrix(X))[1][:, :2]
         assert doc["r2_on_pc_factors"] == {"mkt": ols_r2(market, scores)}
         assert doc["r2_on_pc_factors"]["mkt"] > 0.5
 

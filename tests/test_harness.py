@@ -101,8 +101,10 @@ class TestConfigValidation:
             (dict(methods=("KAISER",), r_max=30), "r_max must satisfy 1 <= r_max <= p-1=29, got 30"),
             (dict(methods=("KAISER",), on_r_min=15),
              "on_r_min must satisfy 0 <= on_r_min <= r_max-1=14, got 15"),
+            # a bound must be an integer (numpy's included), not only in range
+            (dict(methods=("ACT",), r_max=2.5), "method ACT at p=30, n=60: r_max must be an integer, got 2.5"),
         ],
-        ids=[f"kw{row}" for row in range(8)],  # the messages are too long to name a row
+        ids=[f"kw{row}" for row in range(9)],  # the messages are too long to name a row
     )
     def test_option_out_of_method_range(self, kw, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

@@ -38,7 +38,7 @@ def test_pc_scores_hold_one_square_matrix_and_its_eigenvectors():
     # eigenvectors, and centred the panel twice: about 3.2 p x p matrices
     n, p = 30, 300
     X = DataMatrix(np.random.default_rng(2).standard_normal((n, p)))
-    assert traced_peak(lambda: pc_scores(X, 3)) <= 2.5 * 8 * p * p
+    assert traced_peak(lambda: pc_scores(X)) <= 2.5 * 8 * p * p
 
 
 def test_ingest_csv_holds_at_most_three_panels(tmp_path):

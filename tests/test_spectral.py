@@ -476,7 +476,7 @@ class TestDataMatrix:
             "sample_covariance": lambda: sample_covariance(X),
             "square_spectra": lambda: square_spectra(X),
             "spectra": lambda: spectra(DataMatrix(values.copy())),
-            "pc_scores": lambda: pc_scores(X, 1),
+            "pc_scores": lambda: pc_scores(X),
         }
         for name, call in calls.items():
             assert _outcome(call) == (DataError, "covariance matrix contains non-finite entries"), name
