@@ -235,14 +235,14 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     through one p x p matrix; estimate's route. X is left unchanged.
 
     The correlation spectrum is bit for bit eigenvalues_desc on
-    to_correlation of sample_covariance, at every p, and pc_scores's. The
-    covariance spectrum is that composition's bit for bit when p <= n. When
-    p > n it is taken from the n x n Gram Z Z^T/n of the centred panel,
-    padded with p - n exact zeros; it agrees with the p x p eigensolve to
-    round-off (about 1e-15 of the top eigenvalue), and on data near the
-    overflow limit it overflows slightly earlier, with the same DataError.
-    Fewer than 3 series is a DimensionError: ACT, GR and ON need
-    r_max <= p - 2. Every variance passes _standard_deviations.
+    to_correlation of sample_covariance at every p, and pc_scores's: the
+    covariance, exactly symmetric as built, is rescaled in place unchecked.
+    The covariance spectrum is that composition's when p <= n; when p > n
+    it comes from the n x n Gram Z Z^T/n of the centred panel, padded with
+    p - n exact zeros, and agrees to round-off (about 1e-15 of the top
+    eigenvalue) but overflows slightly earlier near the float limit, with
+    the same DataError. Fewer than 3 series is a DimensionError (ACT, GR
+    and ON need r_max <= p - 2); every variance passes _standard_deviations.
     """
     n, p = X.n, X.p
     if p < 3:
