@@ -72,7 +72,7 @@ def estimate_report(
             "methods": list(methods),
             "r_max": r_max,
             "ed_threshold": ed_threshold,
-            "on_r_min": on_r_min,
+            "on_r_min": int(on_r_min),  # checked by check_method_options
             "basis": basis or f"per-method default ({', '.join(f'{m}: {METHODS[m][0]}' for m in methods)})",
         },
         "threshold": act_threshold(p, n),
@@ -93,10 +93,10 @@ def analyze_report(ds: PanelDataset, factors: PanelDataset, k: int | None = None
     X = ds.data
     n, p = X.n, X.p
     if k is not None:
-        check_range("k", k, 1, min(n - 1, p), "min(n-1, p)")
+        k = check_range("k", k, 1, min(n - 1, p), "min(n-1, p)")
     if factors.data.n != n:
         raise DataError(f"panel has {n} observations but factor series have {factors.data.n}")
-    # estimate's correlation spectrum bit for bit, so both report one ACT count
+    # spectra's correlation spectrum, estimate's bit for bit at p <= n
     corr_spec, scores = pc_scores(X)
     act_k = act_estimate(corr_spec)
     use_k = k if k is not None else act_k

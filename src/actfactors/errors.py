@@ -48,11 +48,12 @@ class NumericalDomain(ActFactorsError):
     """A criterion hit an invalid numerical domain (log of <= 0, 0 denominator)."""
 
 
-def check_range(name: str, value: int, low: int, high: int, bound: str) -> None:
-    """Raise ConfigError unless value is an integer with low <= value <= high; bound names high."""
+def check_range(name: str, value: int, low: int, high: int, bound: str) -> int:
+    """value as an int if it is an integer with low <= value <= high, else a ConfigError; bound names high."""
     try:
-        operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value}") from None
     if not low <= value <= high:
         raise ConfigError(f"{name} must satisfy {low} <= {name} <= {bound}={high}, got {value}")
+    return value

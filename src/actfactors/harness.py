@@ -98,7 +98,7 @@ def check_method_options(
     count_factors(methods, {"cov": probe, "corr": probe}, r_max, ed_threshold, on_r_min)
     # every option a report records meets its rule, whether or not a method
     # reads it; p - 1 is the widest r_max any estimator admits
-    check_range("r_max", r_max, 1, p - 1, "p-1")
+    r_max = check_range("r_max", r_max, 1, p - 1, "p-1")
     check_range("on_r_min", on_r_min, 0, r_max - 1, "r_max-1")
     check_gap_threshold(ed_threshold)
     return r_max
@@ -150,6 +150,9 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "methods", canonical_methods(self.methods))
+        for name, value in vars(self).items():  # numpy integers pass the checks below, not json.dumps
+            if isinstance(value, np.integer):
+                object.__setattr__(self, name, int(value))
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         for name in ("cases", "p_values", "n_values", "families"):

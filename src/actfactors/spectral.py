@@ -207,13 +207,11 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     messages: fewer than 3 series, a non-finite covariance, and the variance
     rule of _standard_deviations. For p <= n: square_spectra(X). For p > n
     (>= 4) the centred panel Z has rank at most n - 1, so both p x p spectra
-    are those of the n x n Gram matrices Z Z^T/n and Zs Zs^T/n (Zs: each
-    column of Z divided by its standard deviation) padded with p - n zeros.
-    The covariance spectrum is square_spectra's bit for bit; the correlation
-    spectrum agrees with the p x p route to round-off. That route consumes
-    X: it centres X.values in place through X.centred(out=X.values) and then
-    standardises them (so they must be writable) instead of copying the
-    panel, and X holds Zs afterwards.
+    are those of the n x n Grams Z Z^T/n and Zs Zs^T/n (Zs: Z with unit
+    column variances) padded with p - n zeros: the covariance spectrum is
+    square_spectra's bit for bit, the correlation spectrum agrees with it to
+    round-off. That route consumes X: it centres and standardises X.values
+    in place (so they must be writable), and X holds Zs afterwards.
     """
     n, p = X.n, X.p
     if p <= n:
@@ -222,12 +220,15 @@ def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     # the Gram before the variances, as in square_spectra, so a panel that
     # overflows one and has a zero variance gets the same error on both routes
     G = _gram(Z, n)
-    # an overflowing variance is reported by _standard_deviations; 1/sd and
-    # the standardised entries (|Zs| <= sqrt(n)) cannot overflow
+    return _spectrum(G, n, p), _spectrum(_gram(_standardise(Z, n), n), n, p)
+
+
+def _standardise(Z: np.ndarray, n: int) -> np.ndarray:
+    """The centred panel Z, each column divided in place by its standard deviation;
+    1/sd and the standardised entries (|Zs| <= sqrt(n)) cannot overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.einsum("ij,ij->j", Z, Z) / n
-    Z *= 1.0 / _standard_deviations(d)
-    return _spectrum(G, n, p), _spectrum(_gram(Z, n), n, p)
+    return np.multiply(Z, 1.0 / _standard_deviations(d), out=Z)
 
 
 def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
@@ -235,8 +236,8 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     through one p x p matrix; estimate's route. X is left unchanged.
 
     The correlation spectrum is bit for bit eigenvalues_desc on
-    to_correlation of sample_covariance at every p, and pc_scores's: the
-    covariance, exactly symmetric as built, is rescaled in place unchecked.
+    to_correlation of sample_covariance at every p: the covariance, exactly
+    symmetric as built, is rescaled in place unchecked.
     The covariance spectrum is that composition's when p <= n; when p > n
     it comes from the n x n Gram Z Z^T/n of the centred panel, padded with
     p - n exact zeros, and agrees to round-off (about 1e-15 of the top
@@ -257,22 +258,33 @@ def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
 
 
 def pc_scores(X: DataMatrix) -> tuple[Spectrum, np.ndarray]:
-    """The correlation spectrum of a panel, square_spectra's bit for bit, and
-    the centred, standardised panel times the top min(n-1, p) eigenvectors of
-    that correlation, each with its largest-magnitude loading positive. Errors:
+    """The correlation spectrum of a panel, spectra's bit for bit, and the
+    centred, standardised panel Zs times the top min(n-1, p) eigenvectors of
+    that correlation, each with its largest-magnitude loading positive. For
+    p > n both come from spectra's n x n Gram Zs Zs^T/n = U diag(lam) U^T:
+    the scores are U_k sqrt(n lam_k), signed by the loadings Zs^T U_k. Errors:
     to_correlation(sample_covariance(X))'s, and fewer than 3 series."""
     n, p = X.n, X.p
     if p < 3:
         raise DimensionError(f"spectra need at least 3 series, got {p}")
     Z = X.centred()
+    if p > n:
+        G = _gram(_standardise(Z, n), n)
+        spec = _spectrum(G, n, p)
+        u = np.linalg.eigh(G)[1][:, :0:-1] * np.sqrt(n * spec.eigenvalues[: n - 1])  # the top n - 1
+        return spec, u * _signs(Z.T @ u)
     M = _gram(Z.T, n)
     Z /= _standard_deviations(np.diag(M))
     spec = _spectrum(_correlate_in_place(M), n, p)
     w, v = np.linalg.eigh(M)
     del M  # free the correlation before the eigenvectors are gathered
     v = v[:, np.argsort(w)[::-1][: n - 1]]  # the top min(n-1, p)
-    v *= np.where(v[np.argmax(np.abs(v), axis=0), range(v.shape[1])] < 0.0, -1.0, 1.0)
+    v *= _signs(v)
     return spec, Z @ v
+
+
+def _signs(v: np.ndarray) -> np.ndarray:
+    return np.where(v[np.argmax(np.abs(v), axis=0), range(v.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def _spectrum(arr: np.ndarray, n: int, p: int) -> Spectrum:

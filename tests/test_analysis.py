@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from actfactors import spectral as spectral_module
 from actfactors.analysis import ols_r2, projection_distance, variance_explained
 from actfactors.errors import ConfigError, DataError, DimensionError, ZeroVarianceSeries
 from actfactors.spectral import (
@@ -11,6 +12,7 @@ from actfactors.spectral import (
     eigenvalues_desc,
     pc_scores,
     sample_covariance,
+    spectra,
     square_spectra,
     to_correlation,
 )
@@ -99,19 +101,28 @@ class TestPcScores:
     @given(seed=st.integers(0, 10_000))
     def test_correlation_factorises_the_reported_matrix(self, seed):
         # oracle: the centred data over sqrt(diag(cov)), times the top
-        # min(n-1, p) eigenvectors of to_correlation(sample_covariance(X)),
-        # bit for bit, on each side of p = n; the spectrum is the eigenvalues
-        # of that matrix, as square_spectra reports them
-        for p in (8, 90):
+        # min(n-1, p) eigenvectors of to_correlation(sample_covariance(X));
+        # the spectrum is the eigenvalues of that matrix, as square_spectra
+        # reports them. Bit for bit at p <= n, where pc_scores factorises that
+        # matrix; at p > n it takes the n x n Gram, and the scores agree to
+        # round-off of the largest score (so every column has the oracle's
+        # sign) and the spectrum is spectra's bit for bit
+        for p in (8, 90, 300):
             X = self._panel(seed, p)
             k = min(29, p)
             cov = sample_covariance(DataMatrix(X))
             zs = (X - X.mean(axis=0)) / np.sqrt(np.diag(cov))
-            vk = self._top_eigenvectors(to_correlation(cov), k)
+            oracle = zs @ self._top_eigenvectors(to_correlation(cov), k)
+            composed = eigenvalues_desc(to_correlation(cov)).eigenvalues
             spec, scores = pc_scores(DataMatrix(X))
-            assert scores.tobytes() == (zs @ vk).tobytes(), p
-            assert spec.eigenvalues.tobytes() == eigenvalues_desc(to_correlation(cov)).eigenvalues.tobytes(), p
-            assert spec.eigenvalues.tobytes() == square_spectra(DataMatrix(X))[1].eigenvalues.tobytes(), p
+            if p <= 30:
+                assert scores.tobytes() == oracle.tobytes(), p
+                assert spec.eigenvalues.tobytes() == composed.tobytes(), p
+                assert spec.eigenvalues.tobytes() == square_spectra(DataMatrix(X))[1].eigenvalues.tobytes(), p
+            else:
+                np.testing.assert_allclose(scores, oracle, rtol=0.0, atol=1e-12 * np.abs(oracle).max())
+                np.testing.assert_allclose(spec.eigenvalues, composed, rtol=0.0, atol=1e-12 * composed[0])
+            assert spec.eigenvalues.tobytes() == spectra(DataMatrix(X.copy()))[1].eigenvalues.tobytes(), p
             assert spec.n == 30
             # the earlier body standardised by sum(z**2)/n and took eigh of the
             # symmetrised Gram; it differs only at round-off
@@ -140,6 +151,33 @@ class TestPcScores:
             spec, scores = pc_scores(DataMatrix(np.random.default_rng(4).standard_normal((n, p))))
             assert scores.shape == (n, min(n - 1, p))
             assert spec.p == p and spec.n == n
+
+    def test_rank_deficient_panel_scores_zero_past_its_rank(self):
+        # 15 distinct rows, each twice: the centred panel has rank 14, so the
+        # Gram route's components 15..29 have zero variance. The scores take
+        # the snapped spectrum, whose zeros give exact zero columns, with no
+        # square root of a round-off negative
+        values = np.tile(np.random.default_rng(9).standard_normal((15, 60)), (2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = pc_scores(DataMatrix(values))[1]
+        assert scores.shape == (30, 29)
+        assert np.abs(scores[:, 14:]).max() <= 1e-12 * np.abs(scores).max()
+        assert np.abs(scores[:, :14]).max(axis=0).min() > 1e-3 * np.abs(scores).max()
+
+    def test_p_above_n_builds_one_n_by_n_gram(self, monkeypatch):
+        # one Gram, of the n x p standardised panel, serves the spectrum and
+        # the scores; every eigensolve is n x n
+        n, p = 20, 200
+        grams, solves = [], []
+        gram, eigh, eigvalsh = spectral_module._gram, np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(spectral_module, "_gram", lambda A, n: grams.append(A.shape) or gram(A, n))
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: solves.append(M.shape) or eigh(M))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solves.append(M.shape) or eigvalsh(M))
+        spec, scores = pc_scores(DataMatrix(np.random.default_rng(10).standard_normal((n, p))))
+        assert grams == [(n, p)]
+        assert solves == [(n, n), (n, n)]
+        assert (spec.p, spec.n, scores.shape) == (p, n, (n, n - 1))
 
     def test_fewer_than_three_series_is_refused_as_square_spectra_does(self):
         X = DataMatrix(np.random.default_rng(8).standard_normal((20, 2)))

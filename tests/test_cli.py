@@ -23,7 +23,7 @@ from actfactors.harness import (
 from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.panel import PanelDataset, clean_outliers, ingest_csv
 from actfactors.spectral import (
-    DataMatrix, eigenvalues_desc, naive_kaiser_estimate, pc_scores, sample_covariance, to_correlation,
+    DataMatrix, eigenvalues_desc, naive_kaiser_estimate, pc_scores, sample_covariance, spectra, to_correlation,
 )
 
 from helpers import refusal
@@ -348,6 +348,24 @@ class TestStrictJson:
             paths[f"factors_{name}"] = write_panel_csv(tmp_path / f"f_{name}.csv", X[:, :2], names=["f1", "f2"])
         assert main([arg.format(**paths) for arg in args]) == 0
         assert strict_json(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("report", ["analyze", "estimate", "simulate"])
+    def test_numpy_integer_options_are_reported_as_ints(self, report):
+        # the CLI parses ints; a library caller's numpy integers pass the same
+        # checks, and each report holds them as ints, which json.dumps takes
+        g = SeededRng(67).generator()
+        X = sample_data(build_case(1, 20, 2, g), 60, g)
+        ds = PanelDataset(tuple(f"s{i}" for i in range(20)), X)
+        factors = PanelDataset(("f",), DataMatrix(X.values[:, :1]))
+        dump = {
+            "analyze": lambda i: json.dumps(analyze_report(ds, factors, k=i(2))),
+            "estimate": lambda i: json.dumps(estimate_report(ds, r_max=i(5), on_r_min=i(1))),
+            "simulate": lambda i: run_experiment(ExperimentConfig(
+                p_values=(20,), n_values=(60,), k_true=i(2), replications=i(2), master_seed=i(3), r_max=i(4),
+                on_r_min=i(1),
+            )).to_json(),
+        }[report]
+        assert dump(np.int64) == dump(int)
 
 
 #: perfbench's tolerance for floats in its reference outputs
@@ -848,13 +866,20 @@ class TestAnalyzeCommand:
         "case, n, p", CASE_SHAPES, ids=[f"{n}-{p}" + (f"-case{case}" if case > 1 else "") for case, n, p in CASE_SHAPES]
     )
     def test_analyze_and_estimate_report_the_same_act_count(self, case, n, p):
-        # the same correlation eigenvalues, bit for bit, and the same count,
-        # also where ACT counts no factor (a given k lets analyze report it)
+        # the same correlation eigenvalues, bit for bit at p <= n, and the
+        # same count, also where ACT counts no factor (a given k lets analyze
+        # report it). At p > n analyze takes spectra's n x n Gram and estimate
+        # its p x p correlation, so they agree to round-off
         ds, factors = self._case_panel(case, n, p)
         analysis = analyze_report(ds, factors, k=1)
         estimate = estimate_report(ds, methods=("ACT",))
         top = analysis["correlation_top"]
-        assert top == estimate["eigenvalues"]["correlation_top"][: len(top)]
+        if p <= n:
+            assert top == estimate["eigenvalues"]["correlation_top"][: len(top)]
+        else:
+            assert top == spectra(DataMatrix(ds.data.values.copy()))[1].eigenvalues[: len(top)].tolist()
+            square = np.array(estimate["eigenvalues"]["correlation_top"][: len(top)])
+            assert np.abs(np.array(top) - square).max() <= 1e-12 * square[0]
         count = estimate["methods"]["ACT"]["k"]
         assert analysis["act_k"] == count
         if count:
@@ -864,13 +889,14 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("n, p", [(60, 20), (30, 90)], ids=["p<n", "p>n"])
     def test_analyze_builds_one_gram(self, monkeypatch, n, p):
-        # one p x p correlation serves the ACT count and the scores
+        # one Gram serves the ACT count and the scores: the p x p correlation
+        # at p <= n, the n x n Gram of the standardised panel at p > n
         shapes = []
         gram = spectral_module._gram
         monkeypatch.setattr(spectral_module, "_gram", lambda A, n: shapes.append(A.shape) or gram(A, n))
         ds, factors = self._case_panel(1, n, p)
         assert analyze_report(ds, factors)["k"] == 3
-        assert shapes == [(p, n)]
+        assert shapes == [(p, n) if p <= n else (n, p)]
 
     def test_non_integer_k_is_a_config_error(self):
         ds, factors = self._case_panel(1, 60, 20)

@@ -41,6 +41,15 @@ def test_pc_scores_hold_one_square_matrix_and_its_eigenvectors():
     assert traced_peak(lambda: pc_scores(X)) <= 2.5 * 8 * p * p
 
 
+def test_pc_scores_build_no_square_matrix_above_n():
+    # p > n: the n x n Gram of the standardised panel gives the spectrum and
+    # the scores, so the peak is the centred copy, its loadings and n x n
+    # matrices; the p x p correlation and its eigenvectors held 2.3
+    n, p = 30, 300
+    X = DataMatrix(np.random.default_rng(2).standard_normal((n, p)))
+    assert traced_peak(lambda: pc_scores(X)) <= 0.5 * 8 * p * p
+
+
 def test_ingest_csv_holds_at_most_three_panels(tmp_path):
     # the earlier parser kept every cell as a Python float: about 5 panels
     n, p = 50, 400

@@ -381,7 +381,8 @@ class TestSquareSpectra:
 
 
 class TestOneDomain:
-    """spectra and square_spectra refuse the same panels with the same error."""
+    """spectra and square_spectra refuse the same panels with the same error,
+    and pc_scores the panels the p x p composition refuses."""
 
     @staticmethod
     def panel(n, width, columns, seed, exponent):
@@ -414,6 +415,16 @@ class TestOneDomain:
         X = DataMatrix(values)
         got = _outcome(lambda: spectra(DataMatrix(values.copy())))
         want = _outcome(lambda: square_spectra(X))
+        # pc_scores refuses what to_correlation(sample_covariance(X)) refuses,
+        # or fewer than 3 series, and otherwise reports spectra's correlation
+        # spectrum bit for bit; it builds no covariance Gram, so spectra can
+        # refuse an overflow that pc_scores accepts
+        composed = want if X.p < 3 else _outcome(lambda: to_correlation(sample_covariance(X)))
+        scores = _outcome(lambda: pc_scores(X))
+        if isinstance(scores[0], type) or isinstance(composed, tuple):
+            assert isinstance(composed, tuple) and scores == composed
+        elif not isinstance(got[0], type):
+            assert scores[0].eigenvalues.tobytes() == got[1].eigenvalues.tobytes()
         if isinstance(got[0], type) or isinstance(want[0], type):  # an (error type, message) outcome
             assert got == want
             return
