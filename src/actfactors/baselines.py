@@ -49,10 +49,11 @@ class BaiNgVariant:
         raise ConfigError(f"unknown criterion {name!r}; expected PC1-PC3 or IC1-IC3")
 
 
-def check_gap_threshold(threshold: float | None) -> None:
-    """The gap threshold's rule: None (no threshold given) or finite and positive."""
+def check_gap_threshold(threshold: float | None) -> float | None:
+    """The gap threshold's rule: None (no threshold given), or finite and positive, returned as a float."""
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
         raise ConfigError(f"gap threshold must be finite and positive, got {threshold}")
+    return None if threshold is None else float(threshold)
 
 
 def _tail_sums(lam: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ def estimate_report(
     # eigenvalues earlier reports published, bit for bit. It runs first, so a
     # panel it refuses is a data error before any option
     cov_spec, corr_spec = square_spectra(X)
-    r_max = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
+    r_max, on_r_min, ed_threshold = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     by_basis = {"cov": cov_spec, "corr": corr_spec}
     counts, evidence = count_factors(methods, by_basis, r_max, ed_threshold, on_r_min, basis)
     results = {m: {"error": k} if isinstance(k, str) else {"k": k} for m, k in counts.items()}
@@ -72,7 +72,7 @@ def estimate_report(
             "methods": list(methods),
             "r_max": r_max,
             "ed_threshold": ed_threshold,
-            "on_r_min": int(on_r_min),  # checked by check_method_options
+            "on_r_min": on_r_min,
             "basis": basis or f"per-method default ({', '.join(f'{m}: {METHODS[m][0]}' for m in methods)})",
         },
         "threshold": act_threshold(p, n),

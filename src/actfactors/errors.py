@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the one range check
-that every bounded option (r_max, r_min, j, k) goes through.
+"""Exception taxonomy shared across the package, the integer check of every
+integer setting, and the range check of every bounded option (r_max, r_min, j, k).
 
 Two branches matter for the CLI: ConfigError maps to exit code 2,
 DataError (and subclasses) to exit code 3.
@@ -48,12 +48,16 @@ class NumericalDomain(ActFactorsError):
     """A criterion hit an invalid numerical domain (log of <= 0, 0 denominator)."""
 
 
-def check_range(name: str, value: int, low: int, high: int, bound: str) -> int:
-    """value as an int if it is an integer with low <= value <= high, else a ConfigError; bound names high."""
+def check_integer(name: str, value) -> int:
+    """value as an int if it is an integer (numpy's included), else a ConfigError."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value}") from None
-    if not low <= value <= high:
+
+
+def check_range(name: str, value: int, low: int, high: int, bound: str) -> int:
+    """value as an int if it is an integer with low <= value <= high, else a ConfigError; bound names high."""
+    if not low <= (value := check_integer(name, value)) <= high:
         raise ConfigError(f"{name} must satisfy {low} <= {name} <= {bound}={high}, got {value}")
     return value

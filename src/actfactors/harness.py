@@ -23,7 +23,7 @@ from .act import act_select, adjust_eigenvalues, default_r_max
 from .baselines import (
     BaiNgVariant, bai_ng_estimate, check_gap_threshold, ed_estimate, er_estimate, gr_estimate, on_estimate,
 )
-from .errors import ActFactorsError, ConfigError, check_range
+from .errors import ActFactorsError, ConfigError, check_integer, check_range
 from .models import SeededRng, build_case, sample_data, population_correlation, table1_scenario
 from .spectral import Spectrum, kaiser_population_count, naive_kaiser_estimate, spectra
 
@@ -87,21 +87,19 @@ def canonical_methods(methods) -> tuple[str, ...]:
 
 def check_method_options(
     methods: tuple[str, ...], p: int, n: int, r_max: int | None, ed_threshold: float | None, on_r_min: int
-) -> int:
-    """Return r_max, default_r_max(p, n) when None, after raising ConfigError
-    if an option is out of range for a method at (p, n), or breaks its
-    run-wide rule whatever the methods. The methods run on an all-zero
-    spectrum, where each estimator checks its options before it reads a
-    value and computes nothing, so the bounds checked are its own."""
+) -> tuple[int, int, float | None]:
+    """Return (r_max, on_r_min, ed_threshold) as their rules return them, r_max default_r_max(p, n) when
+    None, after raising ConfigError if an option is out of range for a method at (p, n), or breaks its
+    run-wide rule whatever the methods. The methods run on an all-zero spectrum, where each estimator
+    checks its options before it reads a value and computes nothing, so the bounds checked are its own."""
     r_max = default_r_max(p, n) if r_max is None else r_max
     probe = Spectrum(np.zeros(p), n=n)
     count_factors(methods, {"cov": probe, "corr": probe}, r_max, ed_threshold, on_r_min)
     # every option a report records meets its rule, whether or not a method
     # reads it; p - 1 is the widest r_max any estimator admits
     r_max = check_range("r_max", r_max, 1, p - 1, "p-1")
-    check_range("on_r_min", on_r_min, 0, r_max - 1, "r_max-1")
-    check_gap_threshold(ed_threshold)
-    return r_max
+    on_r_min = check_range("on_r_min", on_r_min, 0, r_max - 1, "r_max-1")
+    return r_max, on_r_min, check_gap_threshold(ed_threshold)
 
 
 def count_factors(
@@ -126,10 +124,10 @@ def count_factors(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid of simulation cells plus the settings that decide its numbers. Building
-    one checks every cell in one walk over the grid and keeps the cells in
-    ``plans``, the CellPlans run_experiment runs: an attribute, not a field,
-    so asdict and the reports leave it out."""
+    """Grid of simulation cells plus the settings that decide its numbers. Building one stores each
+    setting as the rule that checked it returns it (no truncation; Python scalars only), checks every
+    cell in one walk over the grid and keeps the cells in ``plans``, the CellPlans run_experiment runs:
+    an attribute, not a field, so asdict and the reports leave it out."""
 
     cases: tuple[int, ...] = (1,)
     p_values: tuple[int, ...] = (100,)
@@ -145,14 +143,15 @@ class ExperimentConfig:
     fresh_loadings: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "cases", tuple(int(c) for c in self.cases))
-        object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        for name in ("cases", "p_values", "n_values"):
+            object.__setattr__(self, name, tuple(check_integer(name, v) for v in getattr(self, name)))
+        for name in ("k_true", "replications", "master_seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        if self.fresh_loadings not in (True, False):
+            raise ConfigError(f"fresh_loadings must be True or False, got {self.fresh_loadings!r}")
+        object.__setattr__(self, "fresh_loadings", bool(self.fresh_loadings))
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "methods", canonical_methods(self.methods))
-        for name, value in vars(self).items():  # numpy integers pass the checks below, not json.dumps
-            if isinstance(value, np.integer):
-                object.__setattr__(self, name, int(value))
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         for name in ("cases", "p_values", "n_values", "families"):
@@ -169,15 +168,18 @@ class ExperimentConfig:
                 raise ConfigError(f"need n >= 3, got {n}")
             if p < self.k_true + 2:
                 raise ConfigError(f"need p >= K+2, got p={p}, K={self.k_true}")
-            r_max = check_method_options(self.methods, p, n, self.r_max, self.ed_threshold, self.on_r_min)
+            r_max, r_min, ed = check_method_options(self.methods, p, n, self.r_max, self.ed_threshold, self.on_r_min)
             cell_seed = SeededRng(self.master_seed, index).derived_seed()
             # build_case refuses an unknown case id or family, and K < 1
             build_case(case_id, p, self.k_true, np.random.default_rng(0), family)
             plans.append(CellPlan(
                 case_id=case_id, family=family, p=p, n=n, k_true=self.k_true, replications=self.replications,
-                r_max=r_max, ed_threshold=self.ed_threshold, on_r_min=self.on_r_min,
+                r_max=r_max, ed_threshold=ed, on_r_min=r_min,
                 fresh_loadings=self.fresh_loadings, cell_seed=cell_seed, methods=self.methods,
             ))
+        object.__setattr__(self, "r_max", None if self.r_max is None else r_max)  # as every cell returned it
+        object.__setattr__(self, "on_r_min", r_min)
+        object.__setattr__(self, "ed_threshold", ed)
         object.__setattr__(self, "plans", tuple(plans))
 
 
@@ -282,7 +284,7 @@ def _run_cells(plans: tuple[CellPlan, ...], workers: int) -> list[CellResult]:
     min(workers, chunks, cores) spawned processes for all cells, or in this process when that is 1,
     and tally each cell from its chunks in replication order. Spawned children import the caller's
     ``__main__``, so a script that runs with workers > 1 needs an ``if __name__ == "__main__":`` guard."""
-    if workers < 1:
+    if (workers := check_integer("workers", workers)) < 1:
         raise ConfigError("workers must be >= 1")
     tasks = []
     for cell, plan in enumerate(plans):
@@ -395,6 +397,7 @@ _TABLE1_GRID = ((5, 10), (50, 100), (1.0, 2.0, 3.0))
 def run_table1(seeds: int = 20, master_seed: int = 0) -> dict:
     """Population above-one eigenvalue counts over the scenario grid,
     repeated across seeds."""
+    seeds, master_seed = check_integer("seeds", seeds), check_integer("master_seed", master_seed)
     if seeds < 1:
         raise ConfigError("need at least one seed")
     cells = []

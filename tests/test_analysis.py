@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from actfactors import spectral as spectral_module
 from actfactors.analysis import ols_r2, projection_distance, variance_explained
 from actfactors.errors import ConfigError, DataError, DimensionError, ZeroVarianceSeries
+from actfactors.models import SeededRng, build_case, sample_data
 from actfactors.spectral import (
     DataMatrix,
     eigenvalues_desc,
@@ -131,6 +132,15 @@ class TestPcScores:
             m = z.T @ z / 30
             old = z @ self._top_eigenvectors((m + m.T) / 2.0, k)
             np.testing.assert_allclose(scores, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
+
+    def test_full_size_spectrum_is_spectras_bit_for_bit(self):
+        # the test above stops at n = 30; at 300 x 1000 the Gram and its
+        # eigensolve take BLAS's and LAPACK's blocked paths, and the two
+        # routes must still agree in every bit
+        g = SeededRng(1007).generator()
+        X = sample_data(build_case(1, 1000, 5, g), 300, g)
+        spec = pc_scores(X)[0]
+        assert spec.eigenvalues.tobytes() == spectra(DataMatrix(X.values.copy()))[1].eigenvalues.tobytes()
 
     def test_non_finite_array_is_a_data_error(self):
         X = np.random.default_rng(7).standard_normal((20, 5))

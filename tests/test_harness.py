@@ -126,6 +126,52 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             small_config(**kw)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # a grid entry is refused, not truncated: 20.7 must not run p = 20
+            (lambda: run_experiment(small_config(p_values=(20.7,))), "p_values must be an integer, got 20.7"),
+            (lambda: run_experiment(small_config(n_values=(30.9,))), "n_values must be an integer, got 30.9"),
+            (lambda: run_experiment(small_config(cases=(1.9,))), "cases must be an integer, got 1.9"),
+            (lambda: run_experiment(small_config(replications=2.5)), "replications must be an integer, got 2.5"),
+            (lambda: run_experiment(small_config(k_true=2.5)), "k_true must be an integer, got 2.5"),
+            (lambda: run_experiment(small_config(master_seed=1.5)), "master_seed must be an integer, got 1.5"),
+            (lambda: run_experiment(small_config(fresh_loadings=None)),
+             "fresh_loadings must be True or False, got None"),
+            (lambda: run_experiment(small_config(), workers=2.5), "workers must be an integer, got 2.5"),
+            (lambda: run_cell(small_config().plans[0], 2.5), "workers must be an integer, got 2.5"),
+            (lambda: run_table1(seeds=1.5), "seeds must be an integer, got 1.5"),
+            (lambda: run_table1(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+        ],
+        ids=[
+            "p_values", "n_values", "cases", "replications", "k_true", "master_seed", "fresh_loadings",
+            "run_experiment-workers", "run_cell-workers", "table1-seeds", "table1-master_seed",
+        ],
+    )
+    def test_non_integer_settings_are_refused_before_any_replication(self, monkeypatch, call, message):
+        # a replication would start a pool at workers=2.5; none may run
+        def never(*args):
+            raise AssertionError("ran before the setting was checked")
+
+        monkeypatch.setattr(harness, "_run_replications", never)
+        monkeypatch.setattr(harness, "table1_scenario", never)
+        assert refusal(call) == (ConfigError, message)
+
+    def test_settings_are_stored_as_python_scalars(self):
+        # numpy scalars pass each rule, which returns the Python scalar that
+        # asdict, the report's config and every plan hold
+        config = small_config(
+            cases=(np.int32(1),), p_values=(np.int64(30),), n_values=(np.int32(60),), k_true=np.int64(3),
+            replications=np.int32(2), master_seed=np.uint8(5), methods=("ED", "ON"), r_max=np.int16(4),
+            on_r_min=np.int64(1), ed_threshold=np.float32(0.5), fresh_loadings=np.bool_(True),
+        )
+        assert asdict(config) == asdict(small_config(
+            replications=2, methods=("ED", "ON"), r_max=4, on_r_min=1, ed_threshold=0.5, fresh_loadings=True,
+        ))
+        values = [v for value in asdict(config).values() for v in (value if isinstance(value, tuple) else (value,))]
+        values += [v for plan in config.plans for v in asdict(plan).values() if not isinstance(v, tuple)]
+        assert {type(v) for v in values} <= {int, float, bool, str, type(None)}
+
     def test_options_are_checked_once_per_cell(self, monkeypatch):
         calls, original = [], harness.check_method_options
 
