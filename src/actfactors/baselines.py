@@ -10,6 +10,7 @@ the adjusted-threshold and above-one counts run on the correlation spectrum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class BaiNgVariant:
 
 def check_gap_threshold(threshold: float | None) -> float | None:
     """The gap threshold's rule: None (no threshold given), or finite and positive, returned as a float."""
-    if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
-        raise ConfigError(f"gap threshold must be finite and positive, got {threshold}")
+    real = isinstance(threshold, numbers.Real)
+    if threshold is not None and not (real and math.isfinite(threshold) and threshold > 0.0):
+        raise ConfigError(f"gap threshold must be finite and positive, got {threshold if real else repr(threshold)}")
     return None if threshold is None else float(threshold)
 
 

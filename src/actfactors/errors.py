@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, the integer check of every
-integer setting, and the range check of every bounded option (r_max, r_min, j, k).
+"""Exception taxonomy shared across the package, and the rules of the settings:
+lists, flags, integers and the bounded options (r_max, r_min, j, k).
 
 Two branches matter for the CLI: ConfigError maps to exit code 2,
 DataError (and subclasses) to exit code 3.
@@ -46,6 +46,24 @@ class PoleAtZ(ActFactorsError):
 
 class NumericalDomain(ActFactorsError):
     """A criterion hit an invalid numerical domain (log of <= 0, 0 denominator)."""
+
+
+def check_values(name: str, values) -> tuple:
+    """values as a tuple if they are a non-empty tuple or list that lists each value once, else a ConfigError."""
+    if not isinstance(values, (tuple, list)):
+        raise ConfigError(f"{name} must be a tuple or list, got {values!r}")
+    if not values:
+        raise ConfigError(f"{name} must be non-empty")
+    if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+        raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
+    return tuple(values)
+
+
+def check_flag(name: str, value) -> bool:
+    """value as a bool if it equals True or False (numpy's included), else a ConfigError."""
+    if value not in (True, False):
+        raise ConfigError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
 
 
 def check_integer(name: str, value) -> int:

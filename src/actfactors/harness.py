@@ -23,7 +23,7 @@ from .act import act_select, adjust_eigenvalues, default_r_max
 from .baselines import (
     BaiNgVariant, bai_ng_estimate, check_gap_threshold, ed_estimate, er_estimate, gr_estimate, on_estimate,
 )
-from .errors import ActFactorsError, ConfigError, check_integer, check_range
+from .errors import ActFactorsError, ConfigError, check_flag, check_integer, check_range, check_values
 from .models import SeededRng, build_case, sample_data, population_correlation, table1_scenario
 from .spectral import Spectrum, kaiser_population_count, naive_kaiser_estimate, spectra
 
@@ -73,15 +73,13 @@ METHODS = {
 def canonical_methods(methods) -> tuple[str, ...]:
     """Upper-cased, stripped method names, each known and listed once."""
     out = []
-    for m in methods:
+    for m in check_values("methods", methods):
         name = str(m).strip().upper()
         if name not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
         if name in out:
             raise ConfigError(f"method {name} is listed more than once")
         out.append(name)
-    if not out:
-        raise ConfigError("method list must not be empty")
     return tuple(out)
 
 
@@ -143,24 +141,15 @@ class ExperimentConfig:
     fresh_loadings: bool = True
 
     def __post_init__(self):
-        for name in ("cases", "p_values", "n_values"):
-            object.__setattr__(self, name, tuple(check_integer(name, v) for v in getattr(self, name)))
+        for name in ("cases", "p_values", "n_values", "families"):
+            axis = check_values(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(v if name == "families" else check_integer(name, v) for v in axis))
         for name in ("k_true", "replications", "master_seed"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        if self.fresh_loadings not in (True, False):
-            raise ConfigError(f"fresh_loadings must be True or False, got {self.fresh_loadings!r}")
-        object.__setattr__(self, "fresh_loadings", bool(self.fresh_loadings))
-        object.__setattr__(self, "families", tuple(self.families))
+        object.__setattr__(self, "fresh_loadings", check_flag("fresh_loadings", self.fresh_loadings))
         object.__setattr__(self, "methods", canonical_methods(self.methods))
         if self.replications < 1:
             raise ConfigError("need at least one replication")
-        for name in ("cases", "p_values", "n_values", "families"):
-            values = getattr(self, name)
-            if not values:
-                raise ConfigError(f"{name} must be non-empty")
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
         plans = []
         grid = itertools.product(self.cases, self.families, self.p_values, self.n_values)
         for index, (case_id, family, p, n) in enumerate(grid):

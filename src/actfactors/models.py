@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .spectral import DataMatrix, to_correlation
 
 __all__ = [
@@ -43,6 +43,8 @@ class SeededRng:
     stream: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
+        object.__setattr__(self, "stream", check_integer("stream", self.stream))
         if self.seed < 0 or self.stream < 0:
             raise ConfigError("seed and stream must be non-negative integers")
 
@@ -112,7 +114,7 @@ def build_case(
     Case 3: b_{lj} ~ N(0,1), nu2 = 36K.
     Case 4: b_{jj} = 1, off-diagonal b_{lj} ~ N(0, 0.04), nu2_j ~ U(0, 5.5).
     """
-    if not p > K >= 1:
+    if not (p := check_integer("p", p)) > (K := check_integer("K", K)) >= 1:
         raise ConfigError(f"need p > K >= 1, got p={p}, K={K}")
     if case_id == 1:
         rows, j = np.arange(K + 1, p + 1), np.arange(1, K + 1)
@@ -149,7 +151,7 @@ def sample_data(
     overwrites it. The values are those of ``B f + eps`` bit for bit: each
     in-place step is the same IEEE operation with its operands swapped.
     """
-    if n < 3:
+    if (n := check_integer("n", n)) < 3:
         raise ConfigError(f"need n >= 3 observations, got {n}")
     p, k = spec.p, spec.k
     if out is None:

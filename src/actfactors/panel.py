@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, check_flag
 from .spectral import DataMatrix
 
 __all__ = ["PanelDataset", "ingest_csv", "clean_outliers"]
@@ -106,15 +106,16 @@ def ingest_csv(path, drop_missing: bool = False) -> PanelDataset:
     """Parse a rectangular UTF-8 CSV (header row, one observation per row;
     a leading byte-order mark is skipped).
 
-    Missing cells (empty/NA/NaN/null, or any non-finite value such as inf)
-    drop the whole series when drop_missing is set, otherwise raise. Ragged
-    rows, non-numeric cells and duplicate headers raise ParseError with the
-    offending location (1-based, header is row 1); so do bytes that are not
-    UTF-8 and rows the csv module rejects, without a row number.
+    Missing cells (empty/NA/NaN/null, or any non-finite value such as inf) drop the whole series
+    when drop_missing is set, otherwise raise; drop_missing must be True or False (errors.check_flag),
+    checked before the file is read. Ragged rows, non-numeric cells and duplicate headers raise
+    ParseError with the offending location (1-based, header is row 1); so do bytes that are not UTF-8
+    and rows the csv module rejects, without a row number.
 
     A body of unquoted numbers is one np.loadtxt call. Any other body (a
     missing token, a quote, an error) is read again by the cell loop.
     """
+    drop_missing = check_flag("drop_missing", drop_missing)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _rows(csv.reader(fh), path)
         try:

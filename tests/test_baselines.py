@@ -8,6 +8,7 @@ from actfactors import baselines
 from actfactors.baselines import (
     BaiNgVariant,
     bai_ng_estimate,
+    check_gap_threshold,
     ed_estimate,
     er_estimate,
     gr_estimate,
@@ -220,8 +221,13 @@ class TestRefusals:
             ),
             (lambda: er_estimate(spectrum([4.0, 2.0, 1.0, 0.5], n=10), 2.5), ConfigError, "r_max must be an integer, got 2.5"),
             (lambda: on_estimate(spectrum([4.0, 2.0, 1.0, 0.5], n=10), 0.5, 2), ConfigError, "r_min must be an integer, got 0.5"),
+            # text is not read as a number: the message shows the string
+            (lambda: check_gap_threshold("0.5"), ConfigError, "gap threshold must be finite and positive, got '0.5'"),
         ],
-        ids=["bai-ng-family", "bai-ng-penalty", "bai-ng-p", "er-r-max-non-integer", "on-r-min-non-integer"],
+        ids=[
+            "bai-ng-family", "bai-ng-penalty", "bai-ng-p", "er-r-max-non-integer", "on-r-min-non-integer",
+            "gap-threshold-string",
+        ],
     )
     def test_public_refusals(self, call, error, message):
         assert refusal(call) == (error, message)

@@ -81,12 +81,14 @@ def test_estimate_report_returns_zero_on_pure_noise():
     assert zero / seeds >= 0.95
 
 
-@pytest.mark.parametrize("p, seed", [(100, 505), (600, 506)])
-def test_null_size_below_and_past_n(p, seed):
+@pytest.mark.parametrize(
+    "p, n, seed", [(100, 300, 505), (600, 300, 506), (1000, 100, 507)], ids=["100-505", "600-506", "1000-100-507"]
+)
+def test_null_size_below_and_past_n(p, n, seed):
     # factor-free Gaussian panels: how often ACT counts a factor that is not
-    # there, on both of spectra()'s routes (p < n, and the Gram route p > n);
-    # the bound was fixed before the first run
-    n, R = 300, 300
+    # there, on both of spectra()'s routes (p < n, and the Gram route p > n,
+    # up to p = 10 n); the bound was fixed before the first run
+    R = 300
     hits = 0
     for rep in range(R):
         X = DataMatrix(SeededRng(seed, rep).generator().standard_normal((n, p)))

@@ -367,27 +367,30 @@ class TestStrictJson:
         }[report]
         assert dump(np.int64) == dump(int)
 
-    @pytest.mark.parametrize("report", ["estimate", "simulate", "table1"])
+    @pytest.mark.parametrize("report", ["estimate", "simulate", "table1", "simulate-list"])
     def test_numpy_scalar_settings_give_the_same_report(self, report):
         # each rule returns the Python scalar it admitted and the report holds
         # that: numpy integers of either width, a float32 gap threshold and a
-        # numpy bool give the bytes Python scalars give
+        # numpy bool give the bytes Python scalars give; and the list rule
+        # returns a tuple, so lists, as the CLI passes them, give a tuple grid's
         g = SeededRng(69).generator()
         X = sample_data(build_case(1, 20, 2, g), 60, g)
         ds = PanelDataset(tuple(f"s{i}" for i in range(20)), X)
         methods = ("ACT", "ED", "ON")
-        dump = {
+        dumps = {
             "estimate": lambda i, j, f, b: json.dumps(estimate_report(
                 ds, methods=methods, r_max=i(5), on_r_min=j(1), ed_threshold=f(0.5),
             )),
-            "simulate": lambda i, j, f, b: run_experiment(ExperimentConfig(
-                cases=(i(1), j(2)), p_values=(i(20), j(24)), n_values=(j(60),), k_true=i(2), replications=j(3),
-                master_seed=i(3), methods=methods, r_max=j(4), on_r_min=i(1), ed_threshold=f(0.5),
-                fresh_loadings=b(False),
+            "simulate": lambda i, j, f, b, seq=tuple: run_experiment(ExperimentConfig(
+                cases=seq((i(1), j(2))), p_values=seq((i(20), j(24))), n_values=seq((j(60),)), k_true=i(2),
+                replications=j(3), master_seed=i(3), methods=seq(methods), r_max=j(4), on_r_min=i(1),
+                ed_threshold=f(0.5), fresh_loadings=b(False),
             )).to_json(),
             "table1": lambda i, j, f, b: json.dumps(run_table1(seeds=i(2), master_seed=j(1))),
-        }[report]
-        assert dump(np.int64, np.int32, np.float32, np.bool_) == dump(int, int, float, bool)
+        }
+        dumps["simulate-list"] = lambda i, j, f, b: dumps["simulate"](i, j, f, b, seq=list)
+        expected = dumps[report.removesuffix("-list")](int, int, float, bool)
+        assert dumps[report](np.int64, np.int32, np.float32, np.bool_) == expected
 
 
 #: perfbench's tolerance for floats in its reference outputs

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from actfactors import harness
 from actfactors.act import default_r_max
+from actfactors.cli import estimate_report
 from actfactors.errors import ActFactorsError, ConfigError
 from actfactors.harness import (
     METHODS,
@@ -31,7 +32,8 @@ from actfactors.harness import (
     _run_replications,
 )
 from actfactors.models import SeededRng, build_case, sample_data
-from actfactors.spectral import Spectrum, spectra
+from actfactors.panel import PanelDataset
+from actfactors.spectral import DataMatrix, Spectrum, spectra
 from helpers import refusal
 
 
@@ -142,10 +144,21 @@ class TestConfigValidation:
             (lambda: run_cell(small_config().plans[0], 2.5), "workers must be an integer, got 2.5"),
             (lambda: run_table1(seeds=1.5), "seeds must be an integer, got 1.5"),
             (lambda: run_table1(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+            # a grid or method list is a tuple or list, not one value: a string
+            # would be split into letters; a threshold is a real number, not text
+            (lambda: run_experiment(small_config(p_values=20)), "p_values must be a tuple or list, got 20"),
+            (lambda: run_experiment(small_config(families="gaussian")),
+             "families must be a tuple or list, got 'gaussian'"),
+            (lambda: run_experiment(small_config(methods="ACT")), "methods must be a tuple or list, got 'ACT'"),
+            (lambda: run_experiment(small_config(ed_threshold="0.5")),
+             "gap threshold must be finite and positive, got '0.5'"),
+            (lambda: estimate_report(PanelDataset(("a", "b", "c"), DataMatrix(np.eye(4, 3))), methods="ACT"),
+             "methods must be a tuple or list, got 'ACT'"),
         ],
         ids=[
             "p_values", "n_values", "cases", "replications", "k_true", "master_seed", "fresh_loadings",
             "run_experiment-workers", "run_cell-workers", "table1-seeds", "table1-master_seed",
+            "p_values-scalar", "families-string", "methods-string", "ed_threshold-string", "estimate_report-methods",
         ],
     )
     def test_non_integer_settings_are_refused_before_any_replication(self, monkeypatch, call, message):

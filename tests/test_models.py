@@ -269,11 +269,19 @@ class TestRefusals:
                 lambda: intro_counterexample_spec(4, 3, 5.0, SeededRng(3).generator()), ConfigError,
                 "need p > K+1, got p=4, K=3",
             ),
+            # an integer setting is refused, not handed to numpy
+            (lambda: SeededRng(1.5), ConfigError, "seed must be an integer, got 1.5"),
+            (lambda: SeededRng(1, 1.5), ConfigError, "stream must be an integer, got 1.5"),
+            (lambda: build_case(2, 20.5, 2, SeededRng(0).generator()), ConfigError, "p must be an integer, got 20.5"),
+            (
+                lambda: sample_data(build_case(1, 10, 2, SeededRng(0).generator()), 30.5, SeededRng(1).generator()),
+                ConfigError, "n must be an integer, got 30.5",
+            ),
         ],
         ids=[
             "spec-1-d-loadings", "spec-p-not-above-k", "spec-no-factor", "spec-zero-noise", "spec-noise-length",
             "spec-nan", "spec-family", "sample-n", "table1-scenario", "table1-k", "counterexample-nu2",
-            "counterexample-p",
+            "counterexample-p", "seed-non-integer", "stream-non-integer", "case-p-non-integer", "sample-n-non-integer",
         ],
     )
     def test_public_refusals(self, call, error, message):

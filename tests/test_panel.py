@@ -491,8 +491,14 @@ class TestRefusals:
                 lambda: PanelDataset(("a",), DataMatrix(np.zeros((3, 2)))), DataError,
                 "1 series names for 2 data columns",
             ),
+            # the text "false" is truthy and would drop series; it is refused
+            # before the path, which does not exist, is opened
+            (
+                lambda: ingest_csv("no-such-dir/panel.csv", drop_missing="false"), ConfigError,
+                "drop_missing must be True or False, got 'false'",
+            ),
         ],
-        ids=["names-columns-mismatch"],
+        ids=["names-columns-mismatch", "drop-missing-string"],
     )
     def test_public_refusals(self, call, error, message):
         assert refusal(call) == (error, message)
