@@ -1,10 +1,11 @@
 """Exception taxonomy shared across the package, and the rules of the settings:
-lists, flags, integers and the bounded options (r_max, r_min, j, k).
+lists, flags, integers, reals and the bounded options (r_max, r_min, j, k).
 
 Two branches matter for the CLI: ConfigError maps to exit code 2,
 DataError (and subclasses) to exit code 3.
 """
 
+import numbers
 import operator
 
 
@@ -72,6 +73,13 @@ def check_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value}") from None
+
+
+def check_real(name: str, value) -> float:
+    """value as a float if it is a real number (numpy's included), else a ConfigError."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_range(name: str, value: int, low: int, high: int, bound: str) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_integer
+from .errors import ConfigError, DataError, check_integer, check_real
 from .spectral import DataMatrix, to_correlation
 
 __all__ = [
@@ -197,12 +197,13 @@ def table1_scenario(
     FactorModelSpec refuses sigma2 <= 0."""
     if scenario not in (1, 2):
         raise ConfigError(f"scenario must be 1 or 2, got {scenario}")
-    if not p > K >= 2:
+    if not (p := check_integer("p", p)) > (K := check_integer("K", K)) >= 2:
         raise ConfigError(f"need p > K >= 2, got p={p}, K={K}")
+    sigma2 = check_real("sigma2", sigma2)
     b = rng.uniform(-1.0, 1.0, (p, K))
     if scenario == 2:
         b[:, K - 1] = 0.0
-    return FactorModelSpec(b, np.full(p, float(sigma2)), "gaussian")
+    return FactorModelSpec(b, np.full(p, sigma2), "gaussian")
 
 
 def intro_counterexample_spec(
@@ -219,13 +220,13 @@ def intro_counterexample_spec(
     position K+1, so gap/ratio methods on the covariance spectrum read K+1
     separated eigenvalues; the correlation spectrum is unaffected.
     """
-    if not p > K + 1:
+    if not (p := check_integer("p", p)) > (K := check_integer("K", K)) + 1:
         raise ConfigError(f"need p > K+1, got p={p}, K={K}")
-    if not nu2_extra > 1.0:
+    if not (nu2_extra := check_real("nu2_extra", nu2_extra)) > 1.0:
         raise ConfigError("nu2_extra must exceed the unit noise variance")
     b = rng.uniform(-1.0, 1.0, (p, K))
     b[K, :] = 0.0
     nu2 = np.ones(p)
-    nu2[K] = float(nu2_extra)
+    nu2[K] = nu2_extra
     return FactorModelSpec(b, nu2, "gaussian")
 

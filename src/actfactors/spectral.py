@@ -2,7 +2,8 @@
 
 The sample covariance uses divisor n (not n-1); the estimation threshold
 elsewhere uses n-1 separately. All functions are pure except spectra,
-which consumes its panel when p > n (see there).
+which centres its panel in place at every p; square_spectra is spectra on
+a copy at p <= n and keeps a p x p correlation only at p > n, for estimate.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ZeroVarianceSeries
+from .errors import ConfigError, DataError, DimensionError, ZeroVarianceSeries, check_integer
 
 __all__ = [
     "DataMatrix",
@@ -111,6 +112,7 @@ class Spectrum:
         floor = -1e-8 * max(1.0, arr[0] if arr.size else 0.0)
         if arr.size and arr[-1] < floor:
             raise DataError(f"spectrum has negative eigenvalue {arr[-1]:g} below PSD tolerance")
+        object.__setattr__(self, "n", check_integer("n", self.n))
         if self.n < 0:
             raise DataError("sample count n must be >= 0")
         object.__setattr__(self, "eigenvalues", arr)
@@ -203,24 +205,28 @@ def eigenvalues_desc(M: np.ndarray, n: int = 0) -> Spectrum:
 def spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, both tagged with X.n.
 
-    Both routes refuse exactly the panels square_spectra refuses, with its
-    messages: fewer than 3 series, a non-finite covariance, and the variance
-    rule of _standard_deviations. For p <= n: square_spectra(X). For p > n
-    (>= 4) the centred panel Z has rank at most n - 1, so both p x p spectra
-    are those of the n x n Grams Z Z^T/n and Zs Zs^T/n (Zs: Z with unit
-    column variances) padded with p - n zeros: the covariance spectrum is
-    square_spectra's bit for bit, the correlation spectrum agrees with it to
-    round-off. That route consumes X: it centres and standardises X.values
-    in place (so they must be writable), and X holds Zs afterwards.
+    It consumes X at every p: it centres X.values in place (they must be
+    writable), and for p > n standardises them too. Both routes refuse fewer
+    than 3 series (ACT, GR and ON need r_max <= p - 2), a non-finite
+    covariance and the variance rule of _standard_deviations alike. For
+    p <= n both spectra are the public composition's, bit for bit when X is
+    stored in C or Fortran order, else to round-off. For p > n (>= 4) the
+    centred panel Z has rank at most n - 1, so both spectra are those of the
+    n x n Grams Z Z^T/n and Zs Zs^T/n (Zs: Z with unit column variances)
+    padded with p - n zeros, and agree with the composition to round-off.
     """
     n, p = X.n, X.p
-    if p <= n:
-        return square_spectra(X)
+    if p < 3:
+        raise DimensionError(f"spectra need at least 3 series, got {p}")
+    if not X.values.flags.writeable:
+        raise ConfigError("spectra consumes its panel: X.values must be writable (pass a copy)")
     Z = X.centred(out=X.values)
-    # the Gram before the variances, as in square_spectra, so a panel that
-    # overflows one and has a zero variance gets the same error on both routes
-    G = _gram(Z, n)
-    return _spectrum(G, n, p), _spectrum(_gram(_standardise(Z, n), n), n, p)
+    if p <= n:
+        M = _gram(Z.T, n)  # sample_covariance(X), bit for bit
+        return _spectrum(M, n, p), _spectrum(_correlate_in_place(M), n, p)
+    # the Gram before the variances, as at p <= n, so a panel that overflows
+    # one and has a zero variance gets the same error on both routes
+    return _spectrum(_gram(Z, n), n, p), _spectrum(_gram(_standardise(Z, n), n), n, p)
 
 
 def _standardise(Z: np.ndarray, n: int) -> np.ndarray:
@@ -232,25 +238,19 @@ def _standardise(Z: np.ndarray, n: int) -> np.ndarray:
 
 
 def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
-    """Covariance and correlation spectra of a panel, with the correlation
-    through one p x p matrix; estimate's route. X is left unchanged.
-
-    The correlation spectrum is bit for bit eigenvalues_desc on
-    to_correlation of sample_covariance at every p: the covariance, exactly
-    symmetric as built, is rescaled in place unchecked.
-    The covariance spectrum is that composition's when p <= n; when p > n
-    it comes from the n x n Gram Z Z^T/n of the centred panel, padded with
-    p - n exact zeros, and agrees to round-off (about 1e-15 of the top
-    eigenvalue) but overflows slightly earlier near the float limit, with
-    the same DataError. Fewer than 3 series is a DimensionError (ACT, GR
-    and ON need r_max <= p - 2); every variance passes _standard_deviations.
+    """Covariance and correlation spectra of a panel, leaving X unchanged;
+    estimate's route. For p <= n it is spectra on a copy of X. For p > n the
+    covariance spectrum is spectra's, from the n x n Gram Z Z^T/n, but the
+    correlation goes through one p x p matrix, whose spectrum is bit for bit
+    eigenvalues_desc on to_correlation of sample_covariance. It refuses the
+    panels spectra refuses, with its messages, but takes a read-only one.
     """
     n, p = X.n, X.p
-    if p < 3:
-        raise DimensionError(f"spectra need at least 3 series, got {p}")
+    if p <= n:
+        return spectra(DataMatrix(X.values.copy(order="K")))  # X's layout, so the composition's bits
     Z = X.centred()
     M = _gram(Z.T, n)  # sample_covariance(X), bit for bit
-    cov = _gram(Z, n) if p > n else M
+    cov = _gram(Z, n)
     del Z  # free the centred copy before the eigensolves
     cov_spec = _spectrum(cov, n, p)
     del cov

@@ -277,12 +277,40 @@ class TestRefusals:
                 lambda: sample_data(build_case(1, 10, 2, SeededRng(0).generator()), 30.5, SeededRng(1).generator()),
                 ConfigError, "n must be an integer, got 30.5",
             ),
+            # a real setting is refused, not converted from text or handed to numpy
+            (
+                lambda: table1_scenario(1, 5, 10, "2.0", SeededRng(2).generator()), ConfigError,
+                "sigma2 must be a real number, got '2.0'",
+            ),
+            (
+                lambda: table1_scenario(1, 5.5, 10, 2.0, SeededRng(2).generator()), ConfigError,
+                "K must be an integer, got 5.5",
+            ),
+            (
+                lambda: intro_counterexample_spec(50, 5, "30", SeededRng(3).generator()), ConfigError,
+                "nu2_extra must be a real number, got '30'",
+            ),
+            (
+                lambda: intro_counterexample_spec(50.5, 5, 30.0, SeededRng(3).generator()), ConfigError,
+                "p must be an integer, got 50.5",
+            ),
         ],
         ids=[
             "spec-1-d-loadings", "spec-p-not-above-k", "spec-no-factor", "spec-zero-noise", "spec-noise-length",
             "spec-nan", "spec-family", "sample-n", "table1-scenario", "table1-k", "counterexample-nu2",
             "counterexample-p", "seed-non-integer", "stream-non-integer", "case-p-non-integer", "sample-n-non-integer",
+            "table1-sigma2-text", "table1-k-non-integer", "counterexample-nu2-text", "counterexample-p-non-integer",
         ],
     )
     def test_public_refusals(self, call, error, message):
         assert refusal(call) == (error, message)
+
+    def test_numpy_real_settings_are_accepted(self):
+        # check_real admits numpy's reals and returns a float, so the spec
+        # is the one Python scalars give, bit for bit
+        got = table1_scenario(1, np.int64(5), 10, np.float32(2.0), SeededRng(2).generator())
+        want = table1_scenario(1, 5, 10, 2.0, SeededRng(2).generator())
+        assert got.noise_variances.tobytes() == want.noise_variances.tobytes()
+        assert got.loadings.tobytes() == want.loadings.tobytes()
+        spec = intro_counterexample_spec(np.int32(50), 5, np.float32(30.0), SeededRng(3).generator())
+        assert spec.noise_variances[5] == 30.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from actfactors.act import default_r_max
-from actfactors.errors import ActFactorsError, DataError, DimensionError, ZeroVarianceSeries
+from actfactors.errors import ActFactorsError, ConfigError, DataError, DimensionError, ZeroVarianceSeries
 from actfactors.harness import METHODS
 from actfactors.spectral import (
     DataMatrix,
@@ -202,9 +202,11 @@ class TestSpectra:
     @given(shape=small_p_shapes, seed=st.integers(0, 10_000))
     def test_bit_identical_to_public_composition(self, shape, seed):
         X = self.panel(shape, seed)
+        # the composition first: spectra consumes the panel
+        composed = self.composition(X)
         cov_spec, corr_spec = spectra(X)
         assert cov_spec.n == corr_spec.n == X.n
-        for a, b in zip((cov_spec, corr_spec), self.composition(X)):
+        for a, b in zip((cov_spec, corr_spec), composed):
             np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
     @settings(max_examples=100, deadline=None)
@@ -233,11 +235,12 @@ class TestSpectra:
 
     @settings(max_examples=60, deadline=None)
     @given(shape=small_p_shapes, seed=st.integers(0, 10_000))
-    def test_square_route_leaves_panel(self, shape, seed):
+    def test_square_route_centres_panel_in_place(self, shape, seed):
+        # one consumption rule: at p <= n the panel is centred, not standardised
         X = self.panel(shape, seed)
-        original = X.values.tobytes()
+        centred = X.centred().tobytes()
         spectra(X)
-        assert X.values.tobytes() == original
+        assert X.values.tobytes() == centred
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -303,19 +306,33 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+_READ_ONLY = "spectra consumes its panel: X.values must be writable (pass a copy)"
+
+
+def _read_only(n, p):
+    values = np.random.default_rng(5).standard_normal((n, p))
+    values.flags.writeable = False
+    return DataMatrix(values)
+
+
 class TestSquareSpectra:
     panel = staticmethod(TestSpectra.panel)
     composition = staticmethod(TestSpectra.composition)
 
     @settings(max_examples=100, deadline=None)
-    @given(shape=st.tuples(st.integers(3, 40), st.integers(3, 120)), seed=st.integers(0, 10_000))
-    @example(shape=(3, 3), seed=0)
-    @example(shape=(40, 40), seed=1)
-    @example(shape=(40, 3), seed=2)
-    @example(shape=(3, 120), seed=3)
-    def test_bit_identical_to_public_composition(self, shape, seed):
-        # the correlation at every shape, the covariance at p <= n
-        X = self.panel(shape, seed)
+    @given(
+        shape=st.tuples(st.integers(3, 40), st.integers(3, 120)),
+        seed=st.integers(0, 10_000),
+        layout=st.sampled_from(["C", "F"]),
+    )
+    @example(shape=(3, 3), seed=0, layout="C")
+    @example(shape=(40, 40), seed=1, layout="C")
+    @example(shape=(40, 3), seed=2, layout="F")
+    @example(shape=(3, 120), seed=3, layout="C")
+    def test_bit_identical_to_public_composition(self, shape, seed, layout):
+        # the correlation at every shape, the covariance at p <= n, for a
+        # panel in either memory layout
+        X = DataMatrix(np.asarray(self.panel(shape, seed).values, order=layout))
         original = X.values.tobytes()
         got = square_spectra(X)
         assert X.values.tobytes() == original
@@ -337,6 +354,12 @@ class TestSquareSpectra:
         assert method_outcomes(*got) == method_outcomes(*want)
         assert got[0].eigenvalues.tobytes() == spectra(X)[0].eigenvalues.tobytes()
 
+    @pytest.mark.parametrize("p", [3, 30], ids=["p<n", "p>n"])
+    def test_read_only_panel_is_accepted(self, p):
+        # square_spectra leaves its panel unchanged, so it takes one spectra refuses
+        X = _read_only(10, p)
+        assert [spec.p for spec in square_spectra(X)] == [p, p]
+
     @pytest.mark.parametrize("shape", [(40, 6), (6, 6), (4, 6)], ids=["p<n", "p=n", "p>n"])
     @pytest.mark.parametrize("column", ["constant", "overflowing"])
     def test_same_errors_as_composition(self, shape, column):
@@ -357,8 +380,8 @@ class TestSquareSpectra:
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("route", [spectra, square_spectra])
     def test_one_series_is_a_dimension_error(self, route, p):
-        # the three-series minimum lives here, not in DataMatrix; spectra meets
-        # it only at p <= n, where it calls square_spectra
+        # the three-series minimum lives in spectra, not in DataMatrix;
+        # square_spectra meets it through spectra, which it calls at p <= n
         with pytest.raises(DimensionError, match=f"^spectra need at least 3 series, got {p}$"):
             route(self.panel((5, p), 0))
 
@@ -533,6 +556,11 @@ class TestRefusals:
             (lambda: Spectrum(np.ones((2, 2))), DataError, "spectrum must be a 1-d sequence"),
             (lambda: Spectrum([1.0, np.nan]), DataError, "spectrum contains non-finite values"),
             (lambda: Spectrum([1.0], n=-1), DataError, "sample count n must be >= 0"),
+            (lambda: Spectrum([1.0], n=2.5), ConfigError, "n must be an integer, got 2.5"),
+            (lambda: Spectrum([1.0], n="300"), ConfigError, "n must be an integer, got 300"),
+            # spectra centres its panel in place on both routes, so it refuses a read-only one
+            (lambda: spectra(_read_only(10, 3)), ConfigError, _READ_ONLY),
+            (lambda: spectra(_read_only(10, 30)), ConfigError, _READ_ONLY),
             (
                 lambda: DataMatrix(np.zeros(5)), DimensionError,
                 "data matrix must be 2-dimensional, got shape (5,)",
@@ -543,7 +571,14 @@ class TestRefusals:
                 "matrix contains non-finite entries",
             ),
         ],
-        ids=["spectrum-2-d", "spectrum-nan", "spectrum-negative-n", "data-matrix-1-d", "correlation-overflow"],
+        ids=[
+            "spectrum-2-d", "spectrum-nan", "spectrum-negative-n", "spectrum-fractional-n", "spectrum-text-n",
+            "spectra-read-only-p<n", "spectra-read-only-p>n", "data-matrix-1-d", "correlation-overflow",
+        ],
     )
     def test_public_refusals(self, call, error, message):
         assert refusal(call) == (error, message)
+
+    def test_numpy_integer_n_is_stored_as_int(self):
+        spec = Spectrum([1.0], n=np.int64(300))
+        assert type(spec.n) is int and spec.n == 300
