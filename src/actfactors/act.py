@@ -121,6 +121,8 @@ def adjust_eigenvalues(spec: Spectrum, n: int, r_max: int | None = None) -> Adju
     Exact ties among the leading eigenvalues, and the rest of a tied run past
     r_max+1, are broken by lowering each lower member by TIE_JITTER * lambda_j.
     """
+    if spec.n and spec.n != n:
+        raise ConfigError(f"spectrum has n={spec.n}, expected {n}")
     p = spec.p
     r_max = default_r_max(p, n) if r_max is None else r_max
     check_range("r_max", r_max, 1, p - 2, "p-2")

@@ -136,6 +136,8 @@ def bai_ng_estimate(
     sigma2 = V(r_max), and g is the g1/g2/g3 penalty."""
     if cov_spec.p != p:
         raise ConfigError(f"spectrum has p={cov_spec.p}, expected {p}")
+    if cov_spec.n and cov_spec.n != n:
+        raise ConfigError(f"spectrum has n={cov_spec.n}, expected {n}")
     check_range("r_max", r_max, 1, min(n, p) - 1, "min(n, p)-1")
     v = _tail_sums(cov_spec.eigenvalues[: min(n, p)])[: r_max + 1] / p
     k = np.arange(r_max + 1)

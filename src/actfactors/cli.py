@@ -52,9 +52,10 @@ def estimate_report(
     methods = canonical_methods(methods)
     if basis not in (None, "cov", "corr"):
         raise ConfigError(f"basis must be 'cov' or 'corr', got {basis!r}")
-    # not spectra(): square_spectra keeps the correlation (and adjusted)
-    # eigenvalues earlier reports published, bit for bit. It runs first, so a
-    # panel it refuses is a data error before any option
+    # not spectra(): at p > n square_spectra's covariance is the n x n Gram's and
+    # its correlation sample_covariance rescaled in place, the public composition
+    # without its copies, so the adjusted eigenvalues keep their published bits.
+    # It runs first, so a panel it refuses is a data error before any option
     cov_spec, corr_spec = square_spectra(X)
     r_max, on_r_min, ed_threshold = check_method_options(methods, p, n, r_max, ed_threshold, on_r_min)
     by_basis = {"cov": cov_spec, "corr": corr_spec}

@@ -1,9 +1,9 @@
 """Covariance/correlation construction, symmetric eigensolves, eigenvalue counts, PC scores.
 
 The sample covariance uses divisor n (not n-1); the estimation threshold
-elsewhere uses n-1 separately. All functions are pure except spectra,
-which centres its panel in place at every p; square_spectra is spectra on
-a copy at p <= n and keeps a p x p correlation only at p > n, for estimate.
+elsewhere uses n-1 separately. All functions are pure except spectra, which
+centres its panel in place. square_spectra is spectra on a copy at p <= n; at p > n
+its covariance is the n x n Gram's, its correlation sample_covariance rescaled in place.
 """
 
 from __future__ import annotations
@@ -240,21 +240,16 @@ def _standardise(Z: np.ndarray, n: int) -> np.ndarray:
 def square_spectra(X: DataMatrix) -> tuple[Spectrum, Spectrum]:
     """Covariance and correlation spectra of a panel, leaving X unchanged;
     estimate's route. For p <= n it is spectra on a copy of X. For p > n the
-    covariance spectrum is spectra's, from the n x n Gram Z Z^T/n, but the
-    correlation goes through one p x p matrix, whose spectrum is bit for bit
-    eigenvalues_desc on to_correlation of sample_covariance. It refuses the
-    panels spectra refuses, with its messages, but takes a read-only one.
+    covariance is spectra's, from the n x n Gram Z Z^T/n, and the correlation
+    is sample_covariance(X) rescaled in place: the public composition minus
+    to_correlation's copy and symmetry scan. It refuses the panels spectra
+    refuses, with its messages, but takes a read-only one.
     """
     n, p = X.n, X.p
     if p <= n:
         return spectra(DataMatrix(X.values.copy(order="K")))  # X's layout, so the composition's bits
-    Z = X.centred()
-    M = _gram(Z.T, n)  # sample_covariance(X), bit for bit
-    cov = _gram(Z, n)
-    del Z  # free the centred copy before the eigensolves
-    cov_spec = _spectrum(cov, n, p)
-    del cov
-    return cov_spec, _spectrum(_correlate_in_place(M), n, p)
+    cov_spec = _spectrum(_gram(X.centred(), n), n, p)
+    return cov_spec, _spectrum(_correlate_in_place(sample_covariance(X)), n, p)
 
 
 def pc_scores(X: DataMatrix) -> tuple[Spectrum, np.ndarray]:

@@ -412,8 +412,12 @@ class TestRefusals:
                 lambda: act_estimate(spectrum(np.linspace(3.0, 1.0, 20), n=60), r_max=2.5), ConfigError,
                 "r_max must be an integer, got 2.5",
             ),
+            (
+                lambda: adjust_eigenvalues(spectrum(np.linspace(3.0, 1.0, 20), n=300), 100), ConfigError,
+                "spectrum has n=300, expected 100",
+            ),
         ],
-        ids=["threshold-n", "companion-n", "companion-z-zero", "act-r-max-non-integer"],
+        ids=["threshold-n", "companion-n", "companion-z-zero", "act-r-max-non-integer", "adjust-n-mismatch"],
     )
     def test_public_refusals(self, call, error, message):
         assert refusal(call) == (error, message)

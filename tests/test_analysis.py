@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from actfactors import spectral as spectral_module
 from actfactors.analysis import ols_r2, projection_distance, variance_explained
@@ -98,16 +98,43 @@ class TestPcScores:
         vk = v[:, np.argsort(w)[::-1][:k]]
         return vk * np.where(vk[np.argmax(np.abs(vk), axis=0), range(k)] < 0.0, -1.0, 1.0)
 
+    @staticmethod
+    def _assert_columns_close(got, want, lam):
+        """Score column j to max(1e-12, 64 eps lam_1 / gap_j) of the largest
+        score, gap_j the distance from lam_j to its nearest neighbour. The
+        eigenvectors of near-tied eigenvalues are ill-conditioned (Davis-Kahan),
+        so two routes right to round-off can differ by more than 1e-12; the
+        bound is 1e-12 for gaps above about 1.4% of lam_1."""
+        k = got.shape[1]
+        lower = np.append(lam[1 : k + 1], -np.inf)[:k]
+        upper = np.append(np.inf, lam[: k - 1])
+        gap = np.minimum(upper - lam[:k], lam[:k] - lower)
+        with np.errstate(divide="ignore"):
+            tol = np.maximum(1e-12, 64 * np.finfo(float).eps * lam[0] / gap) * np.abs(want).max()
+        err = np.abs(got - want).max(axis=0)
+        assert np.all(err <= tol), (err / tol).max()
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
+    @example(seed=45)
+    @example(seed=1506)
+    @example(seed=2874)
+    @example(seed=3464)
+    @example(seed=3985)
+    @example(seed=7432)
+    @example(seed=8151)
+    @example(seed=9352)
+    @example(seed=9425)
     def test_correlation_factorises_the_reported_matrix(self, seed):
         # oracle: the centred data over sqrt(diag(cov)), times the top
         # min(n-1, p) eigenvectors of to_correlation(sample_covariance(X));
         # the spectrum is the eigenvalues of that matrix, as square_spectra
         # reports them. Bit for bit at p <= n, where pc_scores factorises that
         # matrix; at p > n it takes the n x n Gram, and the scores agree to
-        # round-off of the largest score (so every column has the oracle's
-        # sign) and the spectrum is spectra's bit for bit
+        # round-off scaled by each column's eigenvalue gap (so every column
+        # has the oracle's sign) and the spectrum is spectra's bit for bit.
+        # The examples are seeds where a flat 1e-12 bound failed on columns
+        # whose gaps were 3e-5 to 2e-4 of lam_1
         for p in (8, 90, 300):
             X = self._panel(seed, p)
             k = min(29, p)
@@ -121,7 +148,7 @@ class TestPcScores:
                 assert spec.eigenvalues.tobytes() == composed.tobytes(), p
                 assert spec.eigenvalues.tobytes() == square_spectra(DataMatrix(X))[1].eigenvalues.tobytes(), p
             else:
-                np.testing.assert_allclose(scores, oracle, rtol=0.0, atol=1e-12 * np.abs(oracle).max())
+                self._assert_columns_close(scores, oracle, composed)
                 np.testing.assert_allclose(spec.eigenvalues, composed, rtol=0.0, atol=1e-12 * composed[0])
             assert spec.eigenvalues.tobytes() == spectra(DataMatrix(X.copy()))[1].eigenvalues.tobytes(), p
             assert spec.n == 30
@@ -131,7 +158,7 @@ class TestPcScores:
             z /= np.sqrt(np.sum(z**2, axis=0) / 30)
             m = z.T @ z / 30
             old = z @ self._top_eigenvectors((m + m.T) / 2.0, k)
-            np.testing.assert_allclose(scores, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
+            self._assert_columns_close(scores, old, composed)
 
     def test_full_size_spectrum_is_spectras_bit_for_bit(self):
         # the test above stops at n = 30; at 300 x 1000 the Gram and its

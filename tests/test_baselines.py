@@ -219,13 +219,17 @@ class TestRefusals:
                 lambda: bai_ng_estimate(spectrum([4.0, 2.0, 1.0, 0.5], n=10), 10, 5, BaiNgVariant("PC", "g1"), 2),
                 ConfigError, "spectrum has p=4, expected 5",
             ),
+            (
+                lambda: bai_ng_estimate(spectrum([4.0, 2.0, 1.0, 0.5], n=30), 10, 4, BaiNgVariant("PC", "g1"), 2),
+                ConfigError, "spectrum has n=30, expected 10",
+            ),
             (lambda: er_estimate(spectrum([4.0, 2.0, 1.0, 0.5], n=10), 2.5), ConfigError, "r_max must be an integer, got 2.5"),
             (lambda: on_estimate(spectrum([4.0, 2.0, 1.0, 0.5], n=10), 0.5, 2), ConfigError, "r_min must be an integer, got 0.5"),
             # text is not read as a number: the message shows the string
             (lambda: check_gap_threshold("0.5"), ConfigError, "gap threshold must be finite and positive, got '0.5'"),
         ],
         ids=[
-            "bai-ng-family", "bai-ng-penalty", "bai-ng-p", "er-r-max-non-integer", "on-r-min-non-integer",
+            "bai-ng-family", "bai-ng-penalty", "bai-ng-p", "bai-ng-n", "er-r-max-non-integer", "on-r-min-non-integer",
             "gap-threshold-string",
         ],
     )

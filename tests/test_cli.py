@@ -426,8 +426,14 @@ class TestBlasThreads:
         ]
 
     def test_simulate_bytes_are_equal(self):
-        args = ["simulate", "--case", "2", "3", "--p", "100", "1000", "--n", "300", "--family", "both", "--reps", "2"]
+        # every case and family, a p <= n width (the p x p route) and a p > n
+        # one (the dual-Gram route), and the seven methods of both bases
+        args = [
+            "simulate", "--case", "1", "2", "3", "4", "--p", "100", "1000", "--n", "300", "--family", "both",
+            "--reps", "2", "--seed", "3", "--methods", "ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER",
+        ]
         one, two = self.run_both(args)
+        assert len(json.loads(one)["cells"]) == 16
         assert one == two
 
     def test_estimate_counts_are_equal(self, tmp_path):
@@ -822,18 +828,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--case", "1", "--p", "30", "--n", "60", "--k", "3", "--reps", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert list(doc["cells"][0]["methods"]) == doc["config"]["methods"] == list(ExperimentConfig().methods)
-
-    def test_blas_thread_count_does_not_change_the_report(self):
-        # p > n cells, so the dual-Gram route runs; the child with one BLAS
-        # thread and the child with the inherited setting agree byte for byte
-        args = [
-            "simulate", "--case", "1", "2", "3", "4", "--p", "400", "--n", "120", "--reps", "6",
-            "--seed", "3", "--methods", "ACT", "ER", "GR", "ON", "PC3", "IC3", "KAISER",
-        ]
-        one = run_cli(args, {**os.environ, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, check=True)
-        inherited = run_cli(args, dict(os.environ), capture_output=True, check=True)
-        assert json.loads(one.stdout)["cells"]
-        assert one.stdout == inherited.stdout
 
 
 class TestTable1Command:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from actfactors import spectral as spectral_module
 from actfactors.act import default_r_max
 from actfactors.errors import ActFactorsError, ConfigError, DataError, DimensionError, ZeroVarianceSeries
 from actfactors.harness import METHODS
@@ -353,6 +354,23 @@ class TestSquareSpectra:
         assert_matches_to_round_off(got[0], want[0])
         assert method_outcomes(*got) == method_outcomes(*want)
         assert got[0].eigenvalues.tobytes() == spectra(X)[0].eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("p", [12, 30], ids=["p<n", "p>n"])
+    def test_sample_covariance_is_called_only_at_p_above_n(self, monkeypatch, p):
+        # p > n: the covariance from one n x n Gram, the correlation from the
+        # public sample_covariance (one p x p Gram); p <= n: spectra on a copy
+        n = 20
+        grams, covariances = [], []
+        gram, covariance = spectral_module._gram, spectral_module.sample_covariance
+        monkeypatch.setattr(spectral_module, "_gram", lambda A, n: grams.append(A.shape) or gram(A, n))
+        monkeypatch.setattr(spectral_module, "sample_covariance", lambda X: covariances.append(X) or covariance(X))
+        X = DataMatrix(np.random.default_rng(12).standard_normal((n, p)))
+        square_spectra(X)
+        if p > n:
+            assert len(covariances) == 1 and covariances[0] is X
+            assert grams == [(n, p), (p, n)]  # A @ A.T: n x n, then p x p
+        else:
+            assert covariances == [] and grams == [(p, n)]
 
     @pytest.mark.parametrize("p", [3, 30], ids=["p<n", "p>n"])
     def test_read_only_panel_is_accepted(self, p):
